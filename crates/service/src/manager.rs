@@ -16,24 +16,26 @@
 //! The manager is fully decoupled from connection I/O: it is called by
 //! the reactor thread (cheap requests, answered inline) and by worker
 //! threads (explores, handed back through the completion queue), and
-//! never writes to a socket or blocks on a client. Lock order across the
-//! serving stack is strictly `sessions → journal` (this module, see
-//! below); the reactor and the completion queue each take their own
-//! locks *after* all manager locks are released, so no cycle exists —
-//! the doctrine is spelled out in DESIGN.md §13.
+//! never writes to a socket or blocks on a client. Lock order is strictly
+//! `repl_apply → sessions → journal`; the reactor and the completion
+//! queue take their own locks *after* all manager locks are released, so
+//! no cycle exists (DESIGN.md §13).
 //!
-//! # Durability and idempotency
+//! # One commit path
 //!
-//! When built via [`SessionManager::recover`], every state-mutating
-//! request (`open`, `repartition`, `apply_moves`, `set_constraints`,
-//! `close`) is appended to a write-ahead [`Journal`] *before* it is
-//! committed to the
-//! sessions map — a crash between the two replays the mutation on
-//! restart; a journal append failure refuses the mutation with a typed
-//! `internal` error and leaves state untouched. The journal mutex is only
-//! ever taken while already holding the sessions lock, so the two can
-//! never deadlock. Explores are pure (re-running one reproduces the same
-//! digest) and are never journaled.
+//! Every state change — `open`, `repartition`, `apply_moves`,
+//! `set_constraints`, `close`, the move trace an `optimize` accepts, and
+//! this node's `role_change` transitions — goes through one private
+//! `commit`. Under a single acquisition of the sessions lock it runs the
+//! role guard, the kind-specific validation, the write-ahead [`Journal`]
+//! append, the install, the replication ship, the history push and the
+//! compaction check. A failed append refuses the mutation with a typed
+//! `internal` error and state untouched. The caller says where a record
+//! came from: a client (guarded, journaled), the replication stream
+//! (journaled) or a replay of records already on disk (neither). The
+//! role — epoch, primary or (fenced) standby, primary hint — is one value
+//! under the same lock, so no role change interleaves with a compaction
+//! or a client commit. Explores are pure and never journaled.
 //!
 //! Requests tagged with a client `req_id` are answered from a bounded
 //! per-session dedup window on retry: the recorded [`Response`] is
@@ -42,7 +44,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -85,6 +87,119 @@ struct Managed {
     /// Net mutation history since `open` (repartitions and constraint
     /// changes, with their `req_id`s), in application order.
     mutations: Vec<JournalEntry>,
+}
+
+/// This node's cluster role: the epoch it last heard or journaled and
+/// what it serves as. A fenced primary cannot be expressed — fencing is a
+/// kind of standby.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Role {
+    /// Bumped by every promotion, adopted from higher-epoch peers.
+    epoch: u64,
+    standing: Standing,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Standing {
+    /// Serves direct mutations.
+    #[default]
+    Primary,
+    /// Refuses direct mutations; state arrives over the replication
+    /// stream until a promotion. `fenced` when a higher epoch forced the
+    /// role (a demoted ex-primary) rather than configuration; `primary`
+    /// is the best guess at the current primary's `host:port`, attached
+    /// to refusals so clients can follow the redirect.
+    Standby { fenced: bool, primary: Option<String> },
+}
+
+impl Role {
+    fn standby(epoch: u64, fenced: bool, primary: Option<String>) -> Self {
+        Self { epoch, standing: Standing::Standby { fenced, primary } }
+    }
+
+    fn is_standby(&self) -> bool {
+        matches!(self.standing, Standing::Standby { .. })
+    }
+
+    fn is_fenced(&self) -> bool {
+        matches!(self.standing, Standing::Standby { fenced: true, .. })
+    }
+
+    fn name(&self) -> &'static str {
+        match self.standing {
+            Standing::Primary => "primary",
+            Standing::Standby { fenced: true, .. } => "fenced",
+            Standing::Standby { fenced: false, .. } => "standby",
+        }
+    }
+
+    /// The journal record a restart replays this role from.
+    fn record(&self) -> Request {
+        Request::RoleChange {
+            epoch: self.epoch,
+            primary: !self.is_standby(),
+            fenced: self.is_fenced(),
+        }
+    }
+
+    /// Admits a client mutation, or refuses it on a standby: `fenced`
+    /// when the role was forced by a higher epoch, `standby` when
+    /// configured — both carrying the current primary's address.
+    fn admit(&self) -> Result<(), ServiceError> {
+        let Standing::Standby { fenced, primary } = &self.standing else { return Ok(()) };
+        let (kind, what) = match fenced {
+            true => (ErrorKind::Fenced, "was fenced by a newer primary"),
+            false => (ErrorKind::Standby, "is a warm standby"),
+        };
+        let message = format!("this node {what}; send mutations to the primary");
+        Err(ServiceError::new(kind, message).with_redirect(primary.clone(), self.epoch))
+    }
+}
+
+/// Everything the sessions lock guards: the sessions and the role that
+/// admits mutations to them.
+#[derive(Default)]
+struct State {
+    sessions: HashMap<String, Managed>,
+    role: Role,
+}
+
+/// Where a committed record came from: decides the role guard and the
+/// journal append.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// A client (or this node's own decision): guarded, journaled.
+    Client,
+    /// The replication stream, already admitted by the sender: journaled.
+    Stream,
+    /// Records already on disk, or about to be as one snapshot: neither.
+    Replay,
+}
+
+/// One state change for [`SessionManager::commit`].
+enum Mutation {
+    /// A session record (`open`, `repartition`, `apply_moves`,
+    /// `set_constraints`, `close`), journaled and shipped as is. With a
+    /// [`Base`], it is an optimizer's accepted trace.
+    Record(Request, Option<Box<Base>>),
+    /// A role transition, journaled as `role_change`, never shipped.
+    Role(Role),
+}
+
+/// The session an unlocked optimizer run started from (the trace commits
+/// only if it is unchanged), and the run it produced.
+struct Base {
+    generation: u64,
+    mutations: usize,
+    run: RunSummary,
+}
+
+/// What a validated [`Mutation`] installs.
+enum Change {
+    Open(Managed),
+    Update(Session, Option<RunSummary>),
+    Close,
+    Role(Role),
 }
 
 /// Bounded per-session memory of `req_id` → outcome, so a retried
@@ -143,31 +258,14 @@ type RoleHook = Box<dyn Fn(&str) + Send + Sync>;
 /// Owns every named session and the cache they share.
 pub struct SessionManager {
     cache: Arc<PredictionCache>,
-    sessions: Mutex<HashMap<String, Managed>>,
+    /// The sessions and this node's role. Lock order:
+    /// `repl_apply → sessions → journal`, never the reverse.
+    state: Mutex<State>,
     dedup: Mutex<DedupWindow>,
     /// The write-ahead log; `None` for a purely in-memory manager.
-    /// Lock order: sessions → journal, never the reverse.
     journal: Option<Mutex<Journal>>,
-    /// Gate on [`journal_append`](Self::journal_append): cleared while a
-    /// replicated snapshot replays (the records are re-persisted wholesale
-    /// by the compaction that follows), set everywhere else.
-    journal_armed: AtomicBool,
     generations: AtomicU64,
     default_jobs: usize,
-    /// Warm-standby mode: direct mutations are refused; state arrives
-    /// over the replication stream until [`promote`](Self::promote).
-    standby: AtomicBool,
-    /// The cluster epoch: bumped by every promotion, adopted from
-    /// higher-epoch peers, journaled as a `role_change` record so a
-    /// restart replays the node back into its last role.
-    epoch: AtomicU64,
-    /// Set when the standby role was forced by fencing (a demoted
-    /// ex-primary) rather than configured: mutations are refused with
-    /// `fenced` instead of `standby`.
-    fenced: AtomicBool,
-    /// Best guess at the current primary's `host:port` — attached to
-    /// `standby`/`fenced` refusals so clients can follow the redirect.
-    primary_hint: Mutex<Option<String>>,
     /// This node's own dialable `host:port` (set after bind); carried on
     /// outgoing replication traffic so peers can find us back.
     advertised: Mutex<Option<String>>,
@@ -188,8 +286,8 @@ pub struct SessionManager {
     /// Where committed records are shipped, when a replicator is
     /// attached. Locked only while already holding the sessions lock.
     repl_sink: Mutex<Option<mpsc::Sender<ReplEvent>>>,
-    /// Serializes replication applies against each other and against
-    /// promotion, so a promote never interleaves a half-applied snapshot.
+    /// Serializes replication applies and role transitions against each
+    /// other, so a promote never interleaves a half-applied snapshot.
     repl_apply: Mutex<()>,
 }
 
@@ -198,13 +296,7 @@ impl SessionManager {
     /// an `explore` uses when the request does not override it.
     #[must_use]
     pub fn new(default_jobs: usize) -> Self {
-        Self::new_with_cache(
-            default_jobs,
-            Arc::new(PredictionCache::with_config(
-                DEFAULT_CACHE_CAPACITY,
-                recommended_shards(default_jobs),
-            )),
-        )
+        Self::new_with_cache(default_jobs, default_cache(default_jobs))
     }
 
     /// Creates an empty manager around an externally built prediction
@@ -215,16 +307,11 @@ impl SessionManager {
     pub fn new_with_cache(default_jobs: usize, cache: Arc<PredictionCache>) -> Self {
         Self {
             cache,
-            sessions: Mutex::new(HashMap::new()),
+            state: Mutex::new(State::default()),
             dedup: Mutex::new(DedupWindow::default()),
             journal: None,
-            journal_armed: AtomicBool::new(true),
             generations: AtomicU64::new(0),
             default_jobs: default_jobs.max(1),
-            standby: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            fenced: AtomicBool::new(false),
-            primary_hint: Mutex::new(None),
             advertised: Mutex::new(None),
             peer: Mutex::new(None),
             role_hook: Mutex::new(None),
@@ -256,10 +343,7 @@ impl SessionManager {
             default_jobs,
             state_dir,
             snapshot_every,
-            Arc::new(PredictionCache::with_config(
-                DEFAULT_CACHE_CAPACITY,
-                recommended_shards(default_jobs),
-            )),
+            default_cache(default_jobs),
         )
     }
 
@@ -280,8 +364,8 @@ impl SessionManager {
         cache: Arc<PredictionCache>,
     ) -> std::io::Result<(Self, RecoveryReport)> {
         let (journal, scan) = Journal::open(state_dir, snapshot_every)?;
-        // Replay through the ordinary dispatch paths with journaling
-        // still disarmed: the records are already on disk.
+        // The journal is mounted only after replay: the records are
+        // already on disk.
         let mut manager = Self::new_with_cache(default_jobs, cache);
         let mut report = RecoveryReport {
             records_skipped: scan.skipped,
@@ -290,15 +374,19 @@ impl SessionManager {
         };
         for entry in &scan.entries {
             // Role records are journal-internal: replay installs the role
-            // directly instead of going through the wire guard.
-            if let Request::RoleChange { epoch, primary, fenced } = &entry.request {
-                manager.install_role(*epoch, *primary, *fenced);
+            // they name instead of dispatching them.
+            if let Request::RoleChange { epoch, primary, fenced } = entry.request {
+                manager.lock().role = match primary {
+                    true => Role { epoch, standing: Standing::Primary },
+                    false => Role::standby(epoch, fenced, None),
+                };
                 continue;
             }
-            // The un-guarded core, not `dispatch_tagged`: a journaled
-            // record was admitted when it was written, so a role record
-            // replayed *before* it must not re-refuse it as a standby.
-            let response = manager.dispatch_inner(&entry.request, entry.req_id.as_deref());
+            // Unguarded: a journaled record was admitted when it was
+            // written, so a role record replayed *before* it must not
+            // re-refuse it as a standby.
+            let response =
+                manager.dispatch_inner(&entry.request, entry.req_id.as_deref(), Origin::Replay);
             if let Response::Error(e) = response {
                 // A journal written by this manager replays cleanly; an
                 // error means a hand-edited or cross-version log. Keep
@@ -337,13 +425,22 @@ impl SessionManager {
     /// Never — a poisoned lock is recovered, not propagated.
     #[must_use]
     pub fn session_count(&self) -> usize {
-        self.lock().len()
+        self.lock().sessions.len()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Managed>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         // A panic while the map was locked (contained elsewhere by the
         // server's panic isolation) must not wedge every later request.
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn role(&self) -> Role {
+        self.lock().role.clone()
+    }
+
+    /// Worker threads for a search: the request's override, or the default.
+    fn jobs(&self, requested: Option<u32>) -> usize {
+        requested.map_or(self.default_jobs, |j| usize::try_from(j.max(1)).unwrap_or(1))
     }
 
     /// Handles any request synchronously and returns its response. The
@@ -364,38 +461,34 @@ impl SessionManager {
     pub fn dispatch_tagged(&self, request: &Request, req_id: Option<&str>) -> Response {
         match request {
             Request::ReplApply { seq, record, epoch, primary } => {
-                return self.apply_replicated(*seq, record, *epoch, primary.as_deref())
+                self.apply_stream(*seq, std::slice::from_ref(record), false, *epoch, primary)
             }
             Request::ReplSnapshot { seq, records, epoch, primary } => {
-                return self.apply_snapshot(*seq, records, *epoch, primary.as_deref())
+                self.apply_stream(*seq, records, true, *epoch, primary)
             }
             Request::Promote => {
                 let (sessions, epoch) = self.promote();
-                return Response::Promoted { sessions, epoch };
+                Response::Promoted { sessions, epoch }
             }
-            Request::RoleChange { .. } => {
-                // Journal replay installs these directly; over the wire
-                // they would let any client rewrite the cluster role.
-                return Response::Error(ServiceError::protocol(
-                    "role_change records are journal-internal and not accepted over the wire",
-                ));
-            }
-            Request::Export { session } => return self.export_session(session),
-            _ => {}
+            // Journal replay installs these directly; over the wire they
+            // would let any client rewrite the cluster role.
+            Request::RoleChange { .. } => Response::Error(ServiceError::protocol(
+                "role_change records are journal-internal and not accepted over the wire",
+            )),
+            Request::Export { session } => self.export_session(session),
+            Request::Import { records } => self.import_session(records),
+            _ => self.dispatch_inner(request, req_id, Origin::Client),
         }
-        if self.is_standby() && request.is_mutation() {
-            return Response::Error(self.standby_refusal());
-        }
-        if let Request::Import { records } = request {
-            return self.import_session(records);
-        }
-        self.dispatch_inner(request, req_id)
     }
 
-    /// The un-guarded dispatch core: dedup window, then the request
-    /// itself. Replication applies call this directly — the records they
-    /// carry are mutations the *primary* already admitted.
-    fn dispatch_inner(&self, request: &Request, req_id: Option<&str>) -> Response {
+    /// The dispatch core: dedup window, then the request itself, with
+    /// mutations committed as coming from `origin`.
+    fn dispatch_inner(
+        &self,
+        request: &Request,
+        req_id: Option<&str>,
+        origin: Origin,
+    ) -> Response {
         let dedup_key = match (req_id, request.is_mutation(), request.session()) {
             (Some(id), true, Some(session)) => Some((session.to_owned(), id.to_owned())),
             _ => None,
@@ -407,75 +500,42 @@ impl SessionManager {
                 return response;
             }
         }
-        let response = match request {
-            Request::Ping => Response::Pong {
-                version: PROTOCOL_VERSION,
-                role: Some(self.role_name().to_owned()),
-                epoch: self.epoch(),
-                peer: self.peer(),
-            },
-            Request::Open { session, params } => {
-                match self.open_tagged(session, params, req_id) {
-                    Ok(partitions) => Response::Opened { session: session.clone(), partitions },
-                    Err(e) => Response::Error(e),
-                }
+        let outcome = match request {
+            Request::Ping => {
+                let role = self.role();
+                Ok(Response::Pong {
+                    version: PROTOCOL_VERSION,
+                    role: Some(role.name().to_owned()),
+                    epoch: role.epoch,
+                    peer: self.peer(),
+                })
             }
-            Request::Explore { session, params } => match self.explore(session, params) {
-                Ok(run) => Response::Explored { session: session.clone(), run },
-                Err(e) => Response::Error(e),
-            },
-            Request::Repartition { session, node, to } => {
-                match self.repartition_tagged(session, *node, *to, req_id) {
-                    Ok(()) => Response::Repartitioned {
-                        session: session.clone(),
-                        node: *node,
-                        to: *to,
-                    },
-                    Err(e) => Response::Error(e),
-                }
+            Request::Open { .. }
+            | Request::Repartition { .. }
+            | Request::ApplyMoves { .. }
+            | Request::SetConstraints { .. }
+            | Request::Close { .. } => {
+                self.commit(Mutation::Record(request.clone(), None), req_id, origin)
             }
+            Request::Explore { session, params } => self
+                .explore(session, params)
+                .map(|run| Response::Explored { session: session.clone(), run }),
             Request::Optimize { session, params } => {
-                match self.optimize_tagged(session, params, req_id) {
-                    Ok(result) => Response::Optimized {
-                        session: session.clone(),
-                        result: Box::new(result),
-                    },
-                    Err(e) => Response::Error(e),
-                }
+                self.run_optimizer(session, params, req_id, origin).map(|result| {
+                    Response::Optimized { session: session.clone(), result: Box::new(result) }
+                })
             }
-            Request::ApplyMoves { session, moves } => {
-                match self.apply_moves_tagged(session, moves, req_id) {
-                    Ok(()) => Response::MovesApplied {
-                        session: session.clone(),
-                        moves: moves.len() as u64,
-                    },
-                    Err(e) => Response::Error(e),
-                }
+            Request::Stats { session } => {
+                self.stats(session.as_deref()).map(|(sessions, cache, last_run)| {
+                    Response::Stats {
+                        sessions,
+                        cache,
+                        shard_entries: self.cache.shard_occupancy(),
+                        last_run,
+                    }
+                })
             }
-            Request::SetConstraints { session, performance_ns, delay_ns } => {
-                match self.set_constraints_tagged(session, *performance_ns, *delay_ns, req_id) {
-                    Ok(()) => Response::ConstraintsSet {
-                        session: session.clone(),
-                        performance_ns: *performance_ns,
-                        delay_ns: *delay_ns,
-                    },
-                    Err(e) => Response::Error(e),
-                }
-            }
-            Request::Stats { session } => match self.stats(session.as_deref()) {
-                Ok((sessions, cache, last_run)) => Response::Stats {
-                    sessions,
-                    cache,
-                    shard_entries: self.cache.shard_occupancy(),
-                    last_run,
-                },
-                Err(e) => Response::Error(e),
-            },
-            Request::Close { session } => match self.close_tagged(session, req_id) {
-                Ok(()) => Response::Closed { session: session.clone() },
-                Err(e) => Response::Error(e),
-            },
-            Request::Shutdown => Response::ShuttingDown,
+            Request::Shutdown => Ok(Response::ShuttingDown),
             // Replication traffic must not nest inside itself (a record
             // carrying a record): the wrapper already routed the real
             // thing, so reaching here means a malformed stream.
@@ -484,18 +544,26 @@ impl SessionManager {
             | Request::Promote
             | Request::RoleChange { .. }
             | Request::Export { .. }
-            | Request::Import { .. } => Response::Error(ServiceError::protocol(
+            | Request::Import { .. } => Err(ServiceError::protocol(
                 "replication requests cannot be nested inside records",
             )),
             // Membership administration is a router concern; a bare
             // server has no pair table to edit.
             Request::AddPair { .. } | Request::RemovePair { .. } | Request::RouterStatus => {
-                Response::Error(ServiceError::protocol(
+                Err(ServiceError::protocol(
                     "router admin requests must be sent to a chop router",
                 ))
             }
         };
-        if let Some((session, id)) = dedup_key {
+        let response = outcome.unwrap_or_else(Response::Error);
+        // A role refusal says where to send the request, not what it did:
+        // it must not shadow the real outcome once a retry reaches the
+        // primary.
+        let refused = matches!(
+            &response,
+            Response::Error(e) if matches!(e.kind, ErrorKind::Standby | ErrorKind::Fenced)
+        );
+        if let (Some((session, id)), false) = (dedup_key, refused) {
             self.dedup.lock().unwrap_or_else(PoisonError::into_inner).record(
                 &session,
                 &id,
@@ -505,62 +573,230 @@ impl SessionManager {
         response
     }
 
-    /// Appends a mutation to the journal (when one is mounted), mapping
-    /// failure to a typed `internal` error. Called with the sessions lock
-    /// held, *before* the mutation is committed to the map: an append
-    /// failure therefore refuses the mutation with state unchanged.
+    /// Commits a locally built session record as a client mutation.
+    fn commit_client(&self, request: Request) -> Result<Response, ServiceError> {
+        self.commit(Mutation::Record(request, None), None, Origin::Client)
+    }
+
+    /// The one commit path. Under a single acquisition of the sessions
+    /// lock: the role guard (client session mutations only), the
+    /// kind-specific validation and next state, the journal append (all
+    /// but replays), the install, the replication ship (session records
+    /// only), the history push and the compaction check. Returns the
+    /// response acknowledging the change.
+    fn commit(
+        &self,
+        mutation: Mutation,
+        req_id: Option<&str>,
+        origin: Origin,
+    ) -> Result<Response, ServiceError> {
+        let mut state = self.lock();
+        let is_role = matches!(mutation, Mutation::Role(_));
+        if origin == Origin::Client && !is_role {
+            state.role.admit()?;
+        }
+        let (record, change, ack) = self.prepare(&state.sessions, mutation, req_id)?;
+        if origin != Origin::Replay {
+            if let Err(e) = self.journal_append(&record, req_id) {
+                if !is_role {
+                    return Err(e);
+                }
+                // A role change is an availability decision: serve in the
+                // new role now, warn that a restart will not remember it.
+                eprintln!("chop-service: role_change journal append failed: {}", e.message);
+            }
+        }
+        let State { sessions, role } = &mut *state;
+        let name = record.session().unwrap_or_default();
+        let history = match change {
+            Change::Open(managed) => {
+                sessions.insert(name.to_owned(), managed);
+                None
+            }
+            Change::Update(session, run) => {
+                let managed = sessions.get_mut(name).expect("validated under this lock");
+                managed.session = session;
+                managed.last_run = run.or(managed.last_run.take());
+                Some(&mut managed.mutations)
+            }
+            Change::Close => {
+                sessions.remove(name);
+                None
+            }
+            Change::Role(next) => {
+                *role = next;
+                None
+            }
+        };
+        if !is_role {
+            self.replicate(role, &record, req_id);
+        }
+        if let Some(history) = history {
+            history.push(JournalEntry { request: record, req_id: req_id.map(str::to_owned) });
+        }
+        self.compact(&state, false);
+        Ok(ack)
+    }
+
+    /// The kind-specific half of [`commit`](Self::commit): validates
+    /// `mutation` against the locked sessions and returns the record to
+    /// journal, the change to install and the acknowledging response.
+    fn prepare(
+        &self,
+        sessions: &HashMap<String, Managed>,
+        mutation: Mutation,
+        req_id: Option<&str>,
+    ) -> Result<(Request, Change, Response), ServiceError> {
+        let (record, base) = match mutation {
+            Mutation::Record(record, base) => (record, base),
+            Mutation::Role(role) => {
+                let ack =
+                    Response::Promoted { sessions: sessions.len() as u64, epoch: role.epoch };
+                return Ok((role.record(), Change::Role(role), ack));
+            }
+        };
+        let live = |name: &str| {
+            sessions.get(name).map(|m| &m.session).ok_or_else(|| unknown_session(name))
+        };
+        let engine =
+            |e: &dyn std::fmt::Display| ServiceError::new(ErrorKind::Engine, e.to_string());
+        let mut run = None;
+        if let (Some(base), Some(name)) = (base, record.session()) {
+            let managed = sessions.get(name).ok_or_else(|| unknown_session(name))?;
+            if managed.generation != base.generation
+                || managed.mutations.len() != base.mutations
+            {
+                return Err(engine(&"session mutated while the optimizer ran; retry"));
+            }
+            run = Some(base.run);
+        }
+        let (change, ack) = match &record {
+            Request::Open { session: name, params } => {
+                if name.is_empty() || name.len() > 256 {
+                    return Err(ServiceError::new(
+                        ErrorKind::Spec,
+                        "session names must be 1..=256 characters",
+                    ));
+                }
+                let session = build_session(params, self.default_jobs)?
+                    .with_shared_cache(self.shared_cache());
+                if sessions.contains_key(name) {
+                    return Err(ServiceError::new(
+                        ErrorKind::SessionExists,
+                        format!("session {name:?} is already open"),
+                    ));
+                }
+                let partitions = session.partitioning().partition_count() as u64;
+                let managed = Managed {
+                    session,
+                    last_run: None,
+                    generation: self.generations.fetch_add(1, Ordering::Relaxed),
+                    genesis: params.clone(),
+                    open_req_id: req_id.map(str::to_owned),
+                    mutations: Vec::new(),
+                };
+                (Change::Open(managed), Response::Opened { session: name.clone(), partitions })
+            }
+            Request::Repartition { session: name, node, to } => {
+                let current = live(name)?;
+                let next = current
+                    .repartition(resolve_node(current, *node)?, PartitionId::new(*to))
+                    .map_err(|e| engine(&e))?;
+                let ack =
+                    Response::Repartitioned { session: name.clone(), node: *node, to: *to };
+                (Change::Update(next, run), ack)
+            }
+            Request::ApplyMoves { session: name, moves } => {
+                let current = live(name)?;
+                let next = current
+                    .apply_moves(&resolve_moves(current, moves)?)
+                    .map_err(|e| engine(&e))?;
+                let ack =
+                    Response::MovesApplied { session: name.clone(), moves: moves.len() as u64 };
+                (Change::Update(next, run), ack)
+            }
+            Request::SetConstraints { session: name, performance_ns, delay_ns } => {
+                for (field, value) in
+                    [("performance_ns", performance_ns), ("delay_ns", delay_ns)]
+                {
+                    if !(value.is_finite() && *value > 0.0) {
+                        return Err(ServiceError::new(
+                            ErrorKind::Spec,
+                            format!("{field} must be a positive, finite number"),
+                        ));
+                    }
+                }
+                let constraints =
+                    Constraints::new(Nanos::new(*performance_ns), Nanos::new(*delay_ns));
+                let next = live(name)?
+                    .clone()
+                    .try_with_constraints(constraints)
+                    .map_err(|e| ServiceError::new(ErrorKind::Spec, e.to_string()))?;
+                let ack = Response::ConstraintsSet {
+                    session: name.clone(),
+                    performance_ns: *performance_ns,
+                    delay_ns: *delay_ns,
+                };
+                (Change::Update(next, run), ack)
+            }
+            Request::Close { session: name } => {
+                live(name)?;
+                (Change::Close, Response::Closed { session: name.clone() })
+            }
+            _ => return Err(ServiceError::protocol("not a session mutation")),
+        };
+        Ok((record, change, ack))
+    }
+
+    /// Appends a record to the journal (when one is mounted), mapping
+    /// failure to a typed `internal` error. Called by the commit path
+    /// before it installs anything: an append failure therefore refuses
+    /// the mutation with state unchanged.
     fn journal_append(
         &self,
         request: &Request,
         req_id: Option<&str>,
     ) -> Result<(), ServiceError> {
-        if !self.journal_armed.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if let Some(journal) = &self.journal {
-            journal
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .append(request, req_id)
-                .map_err(|e| {
-                    ServiceError::new(
-                        ErrorKind::Internal,
-                        format!("journal append failed, mutation refused: {e}"),
-                    )
-                })?;
-        }
-        Ok(())
+        let Some(journal) = &self.journal else { return Ok(()) };
+        let appended =
+            journal.lock().unwrap_or_else(PoisonError::into_inner).append(request, req_id);
+        appended.map_err(|e| {
+            let message = format!("journal append failed, mutation refused: {e}");
+            ServiceError::new(ErrorKind::Internal, message)
+        })
     }
 
-    /// Compacts the journal down to a snapshot of the live sessions once
-    /// it outgrows its threshold. Called with the sessions lock held;
+    /// Rewrites the journal as a snapshot of `state` — its role record,
+    /// then every live session — once it outgrows its threshold, or
+    /// unconditionally when `force`d. Called with the sessions lock held;
     /// compaction failure only defers shrinking, it never loses records.
-    fn maybe_compact(&self, sessions: &HashMap<String, Managed>) {
+    /// A primary ships the same snapshot so its standby can reset to the
+    /// same baseline instead of growing with compacted-away records.
+    fn compact(&self, state: &State, force: bool) {
         let Some(journal) = &self.journal else { return };
         let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
-        if !journal.should_compact() {
+        if !force && !journal.should_compact() {
             return;
         }
-        let snapshot = Self::snapshot_entries(sessions);
-        if let Err(e) = journal.compact(&self.with_role_record(snapshot.clone())) {
+        let snapshot = Self::snapshot_entries(&state.sessions);
+        // The epoch-0 primary default stays implicit, keeping single-node
+        // journals byte-identical to earlier releases.
+        let role = (state.role != Role::default())
+            .then(|| JournalEntry { request: state.role.record(), req_id: None });
+        let persisted: Vec<JournalEntry> = role.into_iter().chain(snapshot.clone()).collect();
+        if let Err(e) = journal.compact(&persisted) {
             eprintln!("chop-service: journal compaction failed (will retry later): {e}");
             return;
         }
         drop(journal);
-        if self.is_standby() {
+        if state.role.is_standby() {
             return;
         }
-        // The standby's journal would otherwise keep growing with records
-        // the primary just compacted away: hand the snapshot over so it
-        // can reset to the same baseline.
         let sink = self.repl_sink.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(sink) = sink.as_ref() {
             let _ = sink.send(ReplEvent::Snapshot {
                 seq: self.repl_seq.load(Ordering::SeqCst),
-                records: snapshot
-                    .iter()
-                    .map(|e| e.request.encode_tagged(e.req_id.as_deref()))
-                    .collect(),
+                records: snapshot.iter().map(encode).collect(),
             });
         }
     }
@@ -571,91 +807,22 @@ impl SessionManager {
     fn snapshot_entries(sessions: &HashMap<String, Managed>) -> Vec<JournalEntry> {
         let mut names: Vec<&String> = sessions.keys().collect();
         names.sort_unstable();
-        let mut snapshot = Vec::new();
-        for name in names {
-            let managed = &sessions[name];
-            snapshot.push(JournalEntry {
-                request: Request::Open {
-                    session: name.clone(),
-                    params: managed.genesis.clone(),
-                },
-                req_id: managed.open_req_id.clone(),
-            });
-            snapshot.extend(managed.mutations.iter().cloned());
-        }
-        snapshot
-    }
-
-    /// Prefixes a compaction snapshot with this node's current
-    /// `role_change` record, so a restart replays straight back into the
-    /// same epoch and role. Omitted entirely while the node has never
-    /// left the epoch-0 primary default, keeping single-node journals
-    /// byte-identical to earlier releases.
-    fn with_role_record(&self, snapshot: Vec<JournalEntry>) -> Vec<JournalEntry> {
-        let epoch = self.epoch();
-        if epoch == 0 && !self.is_standby() && !self.is_fenced() {
-            return snapshot;
-        }
-        let role = JournalEntry {
-            request: Request::RoleChange {
-                epoch,
-                primary: !self.is_standby(),
-                fenced: self.is_fenced(),
-            },
-            req_id: None,
-        };
-        std::iter::once(role).chain(snapshot).collect()
+        names.into_iter().flat_map(|name| history(name, &sessions[name])).collect()
     }
 
     /// Opens a named session, returning its partition count.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::SessionExists`] for a duplicate name and
-    /// [`ErrorKind::Spec`] for anything wrong with the parameters.
+    /// [`ErrorKind::SessionExists`] for a duplicate name,
+    /// [`ErrorKind::Spec`] for anything wrong with the parameters and
+    /// [`ErrorKind::Standby`]/[`ErrorKind::Fenced`] on a standby.
     pub fn open(&self, name: &str, params: &OpenParams) -> Result<u64, ServiceError> {
-        self.open_tagged(name, params, None)
-    }
-
-    fn open_tagged(
-        &self,
-        name: &str,
-        params: &OpenParams,
-        req_id: Option<&str>,
-    ) -> Result<u64, ServiceError> {
-        if name.is_empty() || name.len() > 256 {
-            return Err(ServiceError::new(
-                ErrorKind::Spec,
-                "session names must be 1..=256 characters",
-            ));
-        }
-        let session =
-            build_session(params, self.default_jobs)?.with_shared_cache(self.shared_cache());
-        let partitions = session.partitioning().partition_count() as u64;
-        let mut sessions = self.lock();
-        if sessions.contains_key(name) {
-            return Err(ServiceError::new(
-                ErrorKind::SessionExists,
-                format!("session {name:?} is already open"),
-            ));
-        }
         let request = Request::Open { session: name.to_owned(), params: params.clone() };
-        self.journal_append(&request, req_id)?;
-        let generation = self.generations.fetch_add(1, Ordering::Relaxed);
-        sessions.insert(
-            name.to_owned(),
-            Managed {
-                session,
-                last_run: None,
-                generation,
-                genesis: params.clone(),
-                open_req_id: req_id.map(str::to_owned),
-                mutations: Vec::new(),
-            },
-        );
-        self.replicate(&request, req_id);
-        self.maybe_compact(&sessions);
-        Ok(partitions)
+        match self.commit_client(request)? {
+            Response::Opened { partitions, .. } => Ok(partitions),
+            other => unreachable!("open acknowledged as {other:?}"),
+        }
     }
 
     /// Runs an exploration on a named session. The search itself runs
@@ -671,8 +838,8 @@ impl SessionManager {
         params: &ExploreParams,
     ) -> Result<RunSummary, ServiceError> {
         let (session, generation) = {
-            let sessions = self.lock();
-            let managed = sessions.get(name).ok_or_else(|| unknown_session(name))?;
+            let state = self.lock();
+            let managed = state.sessions.get(name).ok_or_else(|| unknown_session(name))?;
             (managed.session.clone(), managed.generation)
         };
         let mut budget = SearchBudget::default();
@@ -682,11 +849,9 @@ impl SessionManager {
         if let Some(n) = params.budget.max_trials {
             budget = budget.with_max_trials(usize::try_from(n).unwrap_or(usize::MAX));
         }
-        let jobs =
-            params.jobs.map_or(self.default_jobs, |j| usize::try_from(j.max(1)).unwrap_or(1));
         let outcome = session
             .with_budget(budget)
-            .with_jobs(jobs)
+            .with_jobs(self.jobs(params.jobs))
             .explore(params.heuristic)
             .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
         let run = RunSummary::from_outcome(&outcome);
@@ -699,7 +864,7 @@ impl SessionManager {
     /// unlocked, the generation no longer matches and the summary is
     /// dropped instead of landing on an unrelated session.
     fn record_run(&self, name: &str, generation: u64, run: RunSummary) {
-        if let Some(managed) = self.lock().get_mut(name) {
+        if let Some(managed) = self.lock().sessions.get_mut(name) {
             if managed.generation == generation {
                 managed.last_run = Some(run);
             }
@@ -715,39 +880,8 @@ impl SessionManager {
     /// [`ErrorKind::UnknownSession`] for a missing name, [`ErrorKind::Spec`]
     /// for an unknown node index, [`ErrorKind::Engine`] for an invalid move.
     pub fn repartition(&self, name: &str, node: u32, to: u32) -> Result<(), ServiceError> {
-        self.repartition_tagged(name, node, to, None)
-    }
-
-    fn repartition_tagged(
-        &self,
-        name: &str,
-        node: u32,
-        to: u32,
-        req_id: Option<&str>,
-    ) -> Result<(), ServiceError> {
-        let mut sessions = self.lock();
-        let managed = sessions.get_mut(name).ok_or_else(|| unknown_session(name))?;
-        let node_id = managed
-            .session
-            .partitioning()
-            .dfg()
-            .nodes()
-            .map(|(id, _)| id)
-            .find(|id| id.index() == node as usize)
-            .ok_or_else(|| {
-                ServiceError::new(ErrorKind::Spec, format!("no node with index {node}"))
-            })?;
-        let next = managed
-            .session
-            .repartition(node_id, PartitionId::new(to))
-            .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
-        let request = Request::Repartition { session: name.to_owned(), node, to };
-        self.journal_append(&request, req_id)?;
-        managed.session = next;
-        self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit_client(Request::Repartition { session: name.to_owned(), node, to })
+            .map(drop)
     }
 
     /// Runs the move-based optimizer on a named session. Like
@@ -769,52 +903,46 @@ impl SessionManager {
         name: &str,
         params: &OptimizeParams,
     ) -> Result<OptimizeSummary, ServiceError> {
-        self.optimize_tagged(name, params, None)
+        self.run_optimizer(name, params, None, Origin::Client)
     }
 
-    fn optimize_tagged(
+    /// The search half of [`optimize`](Self::optimize): runs unlocked on
+    /// a clone of the session, then commits the accepted trace. A trace
+    /// without moves changes nothing, so its run is recorded the way an
+    /// explore's is.
+    fn run_optimizer(
         &self,
         name: &str,
         params: &OptimizeParams,
         req_id: Option<&str>,
+        origin: Origin,
     ) -> Result<OptimizeSummary, ServiceError> {
-        let (session, generation, mutation_count) = {
-            let sessions = self.lock();
-            let managed = sessions.get(name).ok_or_else(|| unknown_session(name))?;
+        let (session, generation, mutations) = {
+            let state = self.lock();
+            // Refuse before searching, not after.
+            if origin == Origin::Client {
+                state.role.admit()?;
+            }
+            let managed = state.sessions.get(name).ok_or_else(|| unknown_session(name))?;
             (managed.session.clone(), managed.generation, managed.mutations.len())
         };
         let spec = optimize_spec(&session, params)?;
-        let jobs =
-            params.jobs.map_or(self.default_jobs, |j| usize::try_from(j.max(1)).unwrap_or(1));
-        let result = session.with_jobs(jobs).optimize(&spec).map_err(|e| match e {
-            ChopError::InvalidOptimizeSpec(_) => {
-                ServiceError::new(ErrorKind::Spec, e.to_string())
-            }
-            other => ServiceError::new(ErrorKind::Engine, other.to_string()),
-        })?;
+        let result =
+            session.with_jobs(self.jobs(params.jobs)).optimize(&spec).map_err(|e| match e {
+                ChopError::InvalidOptimizeSpec(_) => {
+                    ServiceError::new(ErrorKind::Spec, e.to_string())
+                }
+                other => ServiceError::new(ErrorKind::Engine, other.to_string()),
+            })?;
+        let run = RunSummary::from_outcome(&result.outcome);
         let moves = result.moves_as_indices();
-        let mut sessions = self.lock();
-        let managed = sessions.get_mut(name).ok_or_else(|| unknown_session(name))?;
-        if managed.generation != generation || managed.mutations.len() != mutation_count {
-            return Err(ServiceError::new(
-                ErrorKind::Engine,
-                "session mutated while the optimizer ran; retry",
-            ));
+        if moves.is_empty() {
+            self.record_run(name, generation, run);
+        } else {
+            let trace = Request::ApplyMoves { session: name.to_owned(), moves };
+            let base = Base { generation, mutations, run };
+            self.commit(Mutation::Record(trace, Some(Box::new(base))), req_id, origin)?;
         }
-        if !moves.is_empty() {
-            let node_moves = resolve_moves(&managed.session, &moves)?;
-            let next = managed
-                .session
-                .apply_moves(&node_moves)
-                .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
-            let request = Request::ApplyMoves { session: name.to_owned(), moves };
-            self.journal_append(&request, req_id)?;
-            managed.session = next;
-            self.replicate(&request, req_id);
-            managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        }
-        managed.last_run = Some(RunSummary::from_outcome(&result.outcome));
-        self.maybe_compact(&sessions);
         Ok(OptimizeSummary::from_result(&result))
     }
 
@@ -828,29 +956,8 @@ impl SessionManager {
     /// for an unknown node index, [`ErrorKind::Engine`] for a batch whose
     /// final state is invalid.
     pub fn apply_moves(&self, name: &str, moves: &[(u32, u32)]) -> Result<(), ServiceError> {
-        self.apply_moves_tagged(name, moves, None)
-    }
-
-    fn apply_moves_tagged(
-        &self,
-        name: &str,
-        moves: &[(u32, u32)],
-        req_id: Option<&str>,
-    ) -> Result<(), ServiceError> {
-        let mut sessions = self.lock();
-        let managed = sessions.get_mut(name).ok_or_else(|| unknown_session(name))?;
-        let node_moves = resolve_moves(&managed.session, moves)?;
-        let next = managed
-            .session
-            .apply_moves(&node_moves)
-            .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
         let request = Request::ApplyMoves { session: name.to_owned(), moves: moves.to_vec() };
-        self.journal_append(&request, req_id)?;
-        managed.session = next;
-        self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit_client(request).map(drop)
     }
 
     /// Replaces a session's performance/delay constraints — the paper's
@@ -867,40 +974,9 @@ impl SessionManager {
         performance_ns: f64,
         delay_ns: f64,
     ) -> Result<(), ServiceError> {
-        self.set_constraints_tagged(name, performance_ns, delay_ns, None)
-    }
-
-    fn set_constraints_tagged(
-        &self,
-        name: &str,
-        performance_ns: f64,
-        delay_ns: f64,
-        req_id: Option<&str>,
-    ) -> Result<(), ServiceError> {
-        for (field, value) in [("performance_ns", performance_ns), ("delay_ns", delay_ns)] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(ServiceError::new(
-                    ErrorKind::Spec,
-                    format!("{field} must be a positive, finite number"),
-                ));
-            }
-        }
-        let mut sessions = self.lock();
-        let managed = sessions.get_mut(name).ok_or_else(|| unknown_session(name))?;
-        let constraints = Constraints::new(Nanos::new(performance_ns), Nanos::new(delay_ns));
-        let next = managed
-            .session
-            .clone()
-            .try_with_constraints(constraints)
-            .map_err(|e| ServiceError::new(ErrorKind::Spec, e.to_string()))?;
         let request =
             Request::SetConstraints { session: name.to_owned(), performance_ns, delay_ns };
-        self.journal_append(&request, req_id)?;
-        managed.session = next;
-        self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit_client(request).map(drop)
     }
 
     /// Server statistics: sorted session names, the shared cache's
@@ -914,14 +990,14 @@ impl SessionManager {
         &self,
         session: Option<&str>,
     ) -> Result<(Vec<String>, CacheStats, Option<RunSummary>), ServiceError> {
-        let sessions = self.lock();
+        let state = self.lock();
         let last_run = match session {
             None => None,
             Some(name) => {
-                sessions.get(name).ok_or_else(|| unknown_session(name))?.last_run.clone()
+                state.sessions.get(name).ok_or_else(|| unknown_session(name))?.last_run.clone()
             }
         };
-        let mut names: Vec<String> = sessions.keys().cloned().collect();
+        let mut names: Vec<String> = state.sessions.keys().cloned().collect();
         names.sort_unstable();
         Ok((names, self.cache.stats(), last_run))
     }
@@ -932,20 +1008,7 @@ impl SessionManager {
     ///
     /// [`ErrorKind::UnknownSession`] for a missing name.
     pub fn close(&self, name: &str) -> Result<(), ServiceError> {
-        self.close_tagged(name, None)
-    }
-
-    fn close_tagged(&self, name: &str, req_id: Option<&str>) -> Result<(), ServiceError> {
-        let mut sessions = self.lock();
-        if !sessions.contains_key(name) {
-            return Err(unknown_session(name));
-        }
-        let request = Request::Close { session: name.to_owned() };
-        self.journal_append(&request, req_id)?;
-        sessions.remove(name);
-        self.replicate(&request, req_id);
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit_client(Request::Close { session: name.to_owned() }).map(drop)
     }
 
     // ---- session handoff ------------------------------------------------
@@ -955,37 +1018,27 @@ impl SessionManager {
     /// router uses this to migrate sessions during pair membership
     /// changes. Read-only; the session stays open here.
     fn export_session(&self, name: &str) -> Response {
-        let sessions = self.lock();
-        let Some(managed) = sessions.get(name) else {
+        let state = self.lock();
+        let Some(managed) = state.sessions.get(name) else {
             return Response::Error(unknown_session(name));
         };
-        let mut records = Vec::with_capacity(1 + managed.mutations.len());
-        records.push(
-            Request::Open { session: name.to_owned(), params: managed.genesis.clone() }
-                .encode_tagged(managed.open_req_id.as_deref()),
-        );
-        records.extend(
-            managed.mutations.iter().map(|e| e.request.encode_tagged(e.req_id.as_deref())),
-        );
+        let records = history(name, managed).map(|e| encode(&e)).collect();
         Response::Exported { session: name.to_owned(), records }
     }
 
-    /// Rebuilds an exported session here by applying its record lines
-    /// through the ordinary dispatch core — each lands in the journal and
-    /// the replication stream like a fresh mutation. Refused if the
-    /// session already exists or the records are malformed.
+    /// Rebuilds an exported session here by committing its record lines
+    /// as client mutations — each is role-guarded and lands in the
+    /// journal and the replication stream like a fresh mutation. Refused
+    /// if the session already exists or the records are malformed.
     fn import_session(&self, records: &[String]) -> Response {
-        let mut decoded = Vec::with_capacity(records.len());
-        for record in records {
-            match Request::decode_tagged(record) {
-                Ok(pair) => decoded.push(pair),
-                Err(e) => {
-                    return Response::Error(ServiceError::protocol(format!(
-                        "undecodable import record: {e}"
-                    )))
-                }
+        let decoded: Vec<_> = match records.iter().map(|r| Request::decode_tagged(r)).collect()
+        {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                let message = format!("undecodable import record: {e}");
+                return Response::Error(ServiceError::protocol(message));
             }
-        }
+        };
         let Some((Request::Open { session, .. }, _)) = decoded.first() else {
             return Response::Error(ServiceError::protocol(
                 "imports must start with the session's open record",
@@ -999,14 +1052,16 @@ impl SessionManager {
         }
         let mut applied = 0u64;
         for (request, req_id) in &decoded {
-            if let Response::Error(e) = self.dispatch_inner(request, req_id.as_deref()) {
-                return Response::Error(ServiceError::new(
-                    e.kind,
-                    format!(
+            if let Response::Error(e) =
+                self.dispatch_inner(request, req_id.as_deref(), Origin::Client)
+            {
+                return Response::Error(ServiceError {
+                    message: format!(
                         "import of {session:?} failed after {applied} records: {}",
                         e.message
                     ),
-                ));
+                    ..e
+                });
             }
             applied += 1;
         }
@@ -1018,40 +1073,39 @@ impl SessionManager {
     /// Whether this node is a warm standby (refusing direct mutations).
     #[must_use]
     pub fn is_standby(&self) -> bool {
-        self.standby.load(Ordering::Acquire)
+        self.lock().role.is_standby()
     }
 
     /// Puts this node into warm-standby mode: direct mutations are
     /// refused until [`promote`](Self::promote); state arrives via
-    /// [`Request::ReplApply`] / [`Request::ReplSnapshot`].
+    /// [`Request::ReplApply`] / [`Request::ReplSnapshot`]. A configured
+    /// role, not journaled; a node that already is a standby keeps its
+    /// fencing and primary hint.
     pub fn mark_standby(&self) {
-        self.standby.store(true, Ordering::Release);
+        let mut state = self.lock();
+        if !state.role.is_standby() {
+            state.role = Role::standby(state.role.epoch, false, None);
+        }
     }
 
     /// Whether this node's standby role was forced by fencing (it was a
     /// primary demoted by a higher-epoch peer) rather than configured.
     #[must_use]
     pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::Acquire)
+        self.lock().role.is_fenced()
     }
 
     /// The cluster epoch this node last heard or journaled. Starts at 0;
     /// every promotion bumps it, every higher epoch heard adopts it.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.lock().role.epoch
     }
 
     /// The wire name for this node's current role.
     #[must_use]
     pub fn role_name(&self) -> &'static str {
-        if !self.is_standby() {
-            "primary"
-        } else if self.is_fenced() {
-            "fenced"
-        } else {
-            "standby"
-        }
+        self.lock().role.name()
     }
 
     /// Records this node's own dialable address, stamped onto outgoing
@@ -1097,32 +1151,10 @@ impl SessionManager {
     /// primary hint on a standby, this node's own address on a primary.
     #[must_use]
     pub fn primary_hint(&self) -> Option<String> {
-        if !self.is_standby() {
-            return self.advertised();
+        match self.role().standing {
+            Standing::Primary => self.advertised(),
+            Standing::Standby { primary, .. } => primary,
         }
-        self.primary_hint.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// The typed refusal a standby answers direct mutations with:
-    /// `fenced` when the role was forced by a higher epoch, `standby`
-    /// when configured — both carrying the current primary's address.
-    fn standby_refusal(&self) -> ServiceError {
-        let (kind, message) = if self.is_fenced() {
-            (
-                ErrorKind::Fenced,
-                "this node was fenced by a newer primary; send mutations to the primary",
-            )
-        } else {
-            (ErrorKind::Standby, "this node is a warm standby; send mutations to the primary")
-        };
-        ServiceError::new(kind, message).with_redirect(self.primary_hint(), self.epoch())
-    }
-
-    /// Raw role install for journal replay: no journaling, no hook.
-    fn install_role(&self, epoch: u64, primary: bool, fenced: bool) {
-        self.epoch.store(epoch, Ordering::Release);
-        self.standby.store(!primary, Ordering::Release);
-        self.fenced.store(fenced && !primary, Ordering::Release);
     }
 
     /// Promotes this node to primary, bumping the cluster epoch and
@@ -1132,23 +1164,17 @@ impl SessionManager {
     /// live session count and the epoch now in force.
     pub fn promote(&self) -> (u64, u64) {
         let _apply = self.repl_apply.lock().unwrap_or_else(PoisonError::into_inner);
-        if !self.is_standby() {
-            return (self.session_count() as u64, self.epoch());
+        let role = self.role();
+        if !role.is_standby() {
+            return (self.session_count() as u64, role.epoch);
         }
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        let record = Request::RoleChange { epoch, primary: true, fenced: false };
-        if let Err(e) = self.journal_append(&record, None) {
-            // Promotion is an availability decision: serve now, warn that
-            // a restart will not remember the new epoch.
-            eprintln!(
-                "chop-service: promote: role_change journal append failed: {}",
-                e.message
-            );
-        }
-        self.epoch.store(epoch, Ordering::Release);
-        self.standby.store(false, Ordering::Release);
-        self.fenced.store(false, Ordering::Release);
-        *self.primary_hint.lock().unwrap_or_else(PoisonError::into_inner) = self.advertised();
+        let epoch = role.epoch + 1;
+        // A role commit is never refused (a failed append only warns).
+        let _ = self.commit(
+            Mutation::Role(Role { epoch, standing: Standing::Primary }),
+            None,
+            Origin::Client,
+        );
         self.announce(&format!("promoted to primary at epoch {epoch}"));
         (self.session_count() as u64, epoch)
     }
@@ -1177,29 +1203,28 @@ impl SessionManager {
 
     /// Adopts a strictly newer epoch heard from the cluster: a primary
     /// demotes itself to a fenced standby, a standby just follows the
-    /// epoch forward. Journals the resulting `role_change` and updates
-    /// the primary hint (and replication peer) to the announcing node.
-    /// Caller must hold `repl_apply`.
+    /// epoch forward. Journals the resulting `role_change` and points the
+    /// primary hint (and replication peer) at the announcing node. An
+    /// equal epoch only refreshes a standby's primary hint. Caller must
+    /// hold `repl_apply`.
     fn adopt_epoch(&self, epoch: u64, primary: Option<&str>) {
-        if epoch <= self.epoch.load(Ordering::Acquire) {
-            if let Some(addr) = primary {
-                *self.primary_hint.lock().unwrap_or_else(PoisonError::into_inner) =
-                    Some(addr.to_owned());
+        let role = self.role();
+        if epoch <= role.epoch {
+            if let (Some(addr), Standing::Standby { primary: hint, .. }) =
+                (primary, &mut self.lock().role.standing)
+            {
+                *hint = Some(addr.to_owned());
             }
             return;
         }
-        let was_primary = !self.is_standby();
-        let fenced = was_primary || self.is_fenced();
-        let record = Request::RoleChange { epoch, primary: false, fenced };
-        if let Err(e) = self.journal_append(&record, None) {
-            eprintln!("chop-service: demote: role_change journal append failed: {}", e.message);
-        }
-        self.epoch.store(epoch, Ordering::Release);
-        self.standby.store(true, Ordering::Release);
-        self.fenced.store(fenced, Ordering::Release);
+        let fenced = !role.is_standby() || role.is_fenced();
+        let (was_primary, hint) = match role.standing {
+            Standing::Primary => (true, None),
+            Standing::Standby { primary, .. } => (false, primary),
+        };
+        let next = Role::standby(epoch, fenced, primary.map(str::to_owned).or(hint));
+        let _ = self.commit(Mutation::Role(next), None, Origin::Stream);
         if let Some(addr) = primary {
-            *self.primary_hint.lock().unwrap_or_else(PoisonError::into_inner) =
-                Some(addr.to_owned());
             // Our replicator should ship to (and resync from) the node
             // that outranked us once we are promoted again.
             self.set_peer(Some(addr.to_owned()));
@@ -1222,7 +1247,7 @@ impl SessionManager {
     pub fn set_repl_sink(&self, sink: mpsc::Sender<ReplEvent>) {
         // Taken under the sessions lock so installation serializes with
         // in-flight commits (same order as `replicate`).
-        let _sessions = self.lock();
+        let _state = self.lock();
         *self.repl_sink.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
     }
 
@@ -1231,21 +1256,19 @@ impl SessionManager {
     /// every live session, taken atomically under the sessions lock.
     #[must_use]
     pub fn replication_snapshot(&self) -> (u64, Vec<String>) {
-        let sessions = self.lock();
+        let state = self.lock();
         let seq = self.repl_seq.load(Ordering::SeqCst);
-        let records = Self::snapshot_entries(&sessions)
-            .iter()
-            .map(|e| e.request.encode_tagged(e.req_id.as_deref()))
-            .collect();
+        let records = Self::snapshot_entries(&state.sessions).iter().map(encode).collect();
         (seq, records)
     }
 
     /// Assigns the next stream sequence to a just-committed mutation and
-    /// ships it to the replicator, if one is attached. Called with the
-    /// sessions lock held so sequence order equals emission order.
-    fn replicate(&self, request: &Request, req_id: Option<&str>) {
+    /// ships it to the replicator, if one is attached and `role` is
+    /// primary. Called with the sessions lock held so sequence order
+    /// equals emission order.
+    fn replicate(&self, role: &Role, request: &Request, req_id: Option<&str>) {
         let seq = self.repl_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.is_standby() {
+        if role.is_standby() {
             // A standby applying the primary's stream must not echo the
             // records back out of its own (parked) replicator.
             return;
@@ -1270,9 +1293,9 @@ impl SessionManager {
     ///   each other without demoting (the refusal carries an equal epoch,
     ///   which [`observe_fencing`](Self::observe_fencing) ignores).
     fn fence_check(&self, epoch: u64, sender: Option<&str>) -> Result<(), ServiceError> {
-        let own = self.epoch.load(Ordering::Acquire);
-        if epoch < own || (epoch == own && !self.is_standby()) {
-            if epoch < own && !self.is_standby() {
+        let role = self.role();
+        if epoch < role.epoch || (epoch == role.epoch && !role.is_standby()) {
+            if epoch < role.epoch && !role.is_standby() {
                 if let Some(addr) = sender {
                     self.set_peer(Some(addr.to_owned()));
                 }
@@ -1280,113 +1303,86 @@ impl SessionManager {
             return Err(ServiceError::new(
                 ErrorKind::Fenced,
                 format!(
-                    "replication stream fenced: sender epoch {epoch} is not newer than {own}"
+                    "replication stream fenced: sender epoch {epoch} is not newer than {}",
+                    role.epoch
                 ),
             )
-            .with_redirect(self.primary_hint(), own));
+            .with_redirect(self.primary_hint(), role.epoch));
         }
         self.adopt_epoch(epoch, sender);
         Ok(())
     }
 
-    /// Applies one replicated record on a standby. Records at or below
-    /// the high-water mark are acked without being re-applied, which
-    /// makes stream re-delivery (snapshot overlap, reconnect replays)
-    /// idempotent. The carried epoch is fence-checked first: stale
-    /// senders are refused, newer senders demote us before the apply.
-    fn apply_replicated(
-        &self,
-        seq: u64,
-        record: &str,
-        epoch: u64,
-        sender: Option<&str>,
-    ) -> Response {
-        let _apply = self.repl_apply.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = self.fence_check(epoch, sender) {
-            return Response::Error(e);
-        }
-        let high_water = self.repl_high_water.load(Ordering::Acquire);
-        if seq <= high_water {
-            return Response::ReplAck { seq: high_water };
-        }
-        match Request::decode_tagged(record) {
-            Ok((request, req_id)) => {
-                // Through the ordinary dispatch core: the mutation lands
-                // in the standby's own journal (it is crash-safe in its
-                // own right) and its req_id outcome enters the dedup
-                // window, so a client retrying against the promoted
-                // standby gets the recorded answer.
-                if let Response::Error(e) = self.dispatch_inner(&request, req_id.as_deref()) {
-                    eprintln!(
-                        "chop-service: replication: apply of seq {seq} failed: {}",
-                        e.message
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("chop-service: replication: undecodable record at seq {seq}: {e}");
-            }
-        }
-        self.repl_high_water.store(seq, Ordering::Release);
-        self.repl_seq.store(seq, Ordering::SeqCst);
-        Response::ReplAck { seq }
-    }
-
-    /// Replaces the standby's entire state with a shipped snapshot (sent
-    /// on stream start and after primary-side compaction), then compacts
-    /// its own journal down to the same baseline. Fence-checked like
-    /// [`apply_replicated`](Self::apply_replicated) — this is the path a
-    /// fenced ex-primary resyncs through.
-    fn apply_snapshot(
+    /// Applies replication traffic on a standby: one record, or — when
+    /// `snapshot` — a full-state handoff (sent on stream start and after
+    /// primary-side compaction) that replaces every session and compacts
+    /// this journal to the same baseline. The carried epoch is
+    /// fence-checked first: stale senders are refused, newer senders
+    /// demote us before the apply (the path a fenced ex-primary resyncs
+    /// through). Traffic below the high-water mark is acked without being
+    /// re-applied, which makes re-delivery idempotent.
+    fn apply_stream(
         &self,
         seq: u64,
         records: &[String],
+        snapshot: bool,
         epoch: u64,
-        sender: Option<&str>,
+        sender: &Option<String>,
     ) -> Response {
         let _apply = self.repl_apply.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = self.fence_check(epoch, sender) {
+        if let Err(e) = self.fence_check(epoch, sender.as_deref()) {
             return Response::Error(e);
         }
         let high_water = self.repl_high_water.load(Ordering::Acquire);
-        if seq < high_water {
+        if seq < high_water || (seq == high_water && !snapshot) {
             return Response::ReplAck { seq: high_water };
         }
-        // Replay with the journal disarmed: the post-replay compaction
-        // persists the same records in one atomic snapshot write.
-        self.journal_armed.store(false, Ordering::Release);
-        self.lock().clear();
-        *self.dedup.lock().unwrap_or_else(PoisonError::into_inner) = DedupWindow::default();
+        // A record lands in this node's own journal (crash-safe in its own
+        // right) and its req_id outcome in the dedup window, so a client
+        // retrying against the promoted standby gets the recorded answer.
+        // A snapshot is replayed unjournaled: the compaction that follows
+        // persists it in one atomic write.
+        let origin = if snapshot { Origin::Replay } else { Origin::Stream };
+        if snapshot {
+            self.lock().sessions.clear();
+            *self.dedup.lock().unwrap_or_else(PoisonError::into_inner) = DedupWindow::default();
+        }
         for record in records {
-            match Request::decode_tagged(record) {
+            let failure = match Request::decode_tagged(record) {
                 Ok((request, req_id)) => {
-                    if let Response::Error(e) = self.dispatch_inner(&request, req_id.as_deref())
-                    {
-                        eprintln!(
-                            "chop-service: replication: snapshot replay failed: {}",
-                            e.message
-                        );
+                    match self.dispatch_inner(&request, req_id.as_deref(), origin) {
+                        Response::Error(e) => e.message,
+                        _ => continue,
                     }
                 }
-                Err(e) => {
-                    eprintln!("chop-service: replication: undecodable snapshot record: {e}");
-                }
-            }
+                Err(e) => format!("undecodable record: {e}"),
+            };
+            eprintln!("chop-service: replication: apply at seq {seq} failed: {failure}");
         }
-        self.journal_armed.store(true, Ordering::Release);
-        if let Some(journal) = &self.journal {
-            let sessions = self.lock();
-            let snapshot = self.with_role_record(Self::snapshot_entries(&sessions));
-            if let Err(e) =
-                journal.lock().unwrap_or_else(PoisonError::into_inner).compact(&snapshot)
-            {
-                eprintln!("chop-service: replication: snapshot persist failed: {e}");
-            }
+        if snapshot {
+            self.compact(&self.lock(), true);
         }
         self.repl_high_water.store(seq, Ordering::Release);
         self.repl_seq.store(seq, Ordering::SeqCst);
         Response::ReplAck { seq }
     }
+}
+
+/// A session's genesis `open` plus its net mutations, `req_id`s kept —
+/// the records that rebuild it.
+fn history<'a>(name: &str, managed: &'a Managed) -> impl Iterator<Item = JournalEntry> + 'a {
+    let open = Request::Open { session: name.to_owned(), params: managed.genesis.clone() };
+    let genesis = JournalEntry { request: open, req_id: managed.open_req_id.clone() };
+    std::iter::once(genesis).chain(managed.mutations.iter().cloned())
+}
+
+/// A journal entry as the tagged request line it is persisted and shipped as.
+fn encode(entry: &JournalEntry) -> String {
+    entry.request.encode_tagged(entry.req_id.as_deref())
+}
+
+fn default_cache(jobs: usize) -> Arc<PredictionCache> {
+    Arc::new(PredictionCache::with_config(DEFAULT_CACHE_CAPACITY, recommended_shards(jobs)))
 }
 
 fn unknown_session(name: &str) -> ServiceError {
@@ -1606,7 +1602,7 @@ mod tests {
     fn stale_run_is_not_recorded_on_a_reopened_session() {
         let mgr = SessionManager::new(1);
         mgr.open("s", &open_params(2)).unwrap();
-        let stale_gen = mgr.lock().get("s").unwrap().generation;
+        let stale_gen = mgr.lock().sessions.get("s").unwrap().generation;
         let run = mgr.explore("s", &ExploreParams::default()).unwrap();
         // Close and reopen under the same name while a hypothetical
         // search still holds the old generation.
@@ -1616,7 +1612,7 @@ mod tests {
         let (_, _, last) = mgr.stats(Some("s")).unwrap();
         assert!(last.is_none(), "stale run must not attach to the reopened session");
         // The matching generation still records normally.
-        let fresh_gen = mgr.lock().get("s").unwrap().generation;
+        let fresh_gen = mgr.lock().sessions.get("s").unwrap().generation;
         assert_ne!(fresh_gen, stale_gen);
         mgr.record_run("s", fresh_gen, run);
         assert!(mgr.stats(Some("s")).unwrap().2.is_some());

@@ -1,12 +1,11 @@
 //! Journal-shipped warm-standby replication.
 //!
-//! A node with a `chop serve --peer <addr>` (or the legacy one-way
-//! `--replicate-to`) attaches a [`Replicator`]: a background thread that
-//! receives every committed mutation from the
-//! [`SessionManager`](crate::manager::SessionManager)
-//! (as the exact tagged line the journal persisted, numbered by a
-//! monotonic stream sequence) and ships it to the peer over the
-//! ordinary wire protocol as [`Request::ReplApply`].
+//! A node with a `chop serve --peer <addr>` attaches a [`Replicator`]: a
+//! background thread that receives every committed mutation from the
+//! [`SessionManager`](crate::manager::SessionManager) (as the exact
+//! tagged line the journal persisted, numbered by a monotonic stream
+//! sequence) and ships it to the peer over the ordinary wire protocol as
+//! [`Request::ReplApply`].
 //!
 //! The replicator is **role-aware**: while the manager is a standby the
 //! stream parks (draining and discarding queued events — promotion

@@ -327,7 +327,7 @@ fn killed_primary_fails_over_to_byte_identical_standby() {
                 workers: 2,
                 jobs,
                 state_dir: Some(primary_dir.clone()),
-                replicate_to: Some(standby_addr.clone()),
+                peer: Some(standby_addr.clone()),
                 ..ServeConfig::default()
             },
         )
