@@ -12,6 +12,7 @@ use chop_library::standard::{
     table2_packages,
 };
 use chop_library::{ChipId, ChipSet};
+use chop_service::json::{obj, Value};
 use chop_stat::units::{MilliWatts, Nanos};
 
 use crate::args::{
@@ -527,33 +528,32 @@ fn write_stats_json(
     runs: &[(&str, &SearchOutcome)],
 ) -> Result<(), Box<dyn Error>> {
     let Some(path) = opts.stats_json.as_deref() else { return Ok(()) };
-    let body = runs
+    #[allow(clippy::cast_precision_loss)]
+    let num = |n: u64| Value::Num(n as f64);
+    let runs = runs
         .iter()
         .map(|(label, o)| {
-            let c = &o.cache;
-            format!(
-                "{{\"label\":\"{label}\",\"trace\":{},\"cache\":{{\"hits\":{},\
-                 \"misses\":{},\"evictions\":{},\"entries\":{},\"bytes\":{}}}}}",
-                o.trace.to_json(),
-                c.hits,
-                c.misses,
-                c.evictions,
-                c.entries,
-                c.bytes
-            )
+            let (t, c) = (&o.trace, &o.cache);
+            let trace = obj(t.fields().into_iter().map(|(k, v)| (k, num(v))).collect());
+            let cache = obj(vec![
+                ("hits", num(c.hits)),
+                ("misses", num(c.misses)),
+                ("evictions", num(c.evictions)),
+                ("entries", num(c.entries)),
+                ("bytes", num(c.bytes)),
+            ]);
+            obj(vec![
+                ("label", Value::Str((*label).to_owned())),
+                ("trace", trace),
+                ("cache", cache),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",");
+        .collect();
     // One array, not one per run: what-if sessions share the cache, so
     // occupancy is a property of the process, not of a single run.
-    let shards = session
-        .shared_cache()
-        .shard_occupancy()
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    std::fs::write(path, format!("{{\"runs\":[{body}],\"shard_entries\":[{shards}]}}\n"))
+    let shards = session.shared_cache().shard_occupancy().into_iter().map(num).collect();
+    let doc = obj(vec![("runs", Value::Arr(runs)), ("shard_entries", Value::Arr(shards))]);
+    std::fs::write(path, format!("{doc}\n"))
         .map_err(|e| ArgError(format!("cannot write {path:?}: {e}")))?;
     Ok(())
 }
@@ -805,8 +805,37 @@ mod tests {
         run(&argv(&["check", &path, "--multi-cycle", "--stats-json", &out]))?;
         let body = std::fs::read_to_string(&out)?;
         assert!(body.starts_with("{\"runs\":[{\"label\":\"baseline\""));
-        assert!(body.contains("\"predictor_calls\""));
-        assert!(body.contains("\"cache\""));
+        let doc = chop_service::json::parse(body.trim_end())?;
+        let run = &doc.get("runs").and_then(|r| r.as_arr()).ok_or("no runs array")?[0];
+        let trace = run.get("trace").ok_or("no trace object")?;
+        for key in [
+            "predict_ns",
+            "prune_l1_ns",
+            "search_ns",
+            "integrate_ns",
+            "feasibility_ns",
+            "predictor_calls",
+            "cache_hits",
+            "cache_misses",
+            "evaluations",
+            "quick_rejects",
+            "subtrees_skipped",
+            "combinations_skipped",
+            "jobs",
+        ] {
+            assert!(
+                trace.get(key).and_then(|v| v.as_u64()).is_some(),
+                "{key} missing from {body}"
+            );
+        }
+        let cache = run.get("cache").ok_or("no cache object")?;
+        for key in ["hits", "misses", "evictions", "entries", "bytes"] {
+            assert!(
+                cache.get(key).and_then(|v| v.as_u64()).is_some(),
+                "{key} missing from {body}"
+            );
+        }
+        assert!(doc.get("shard_entries").and_then(|v| v.as_arr()).is_some());
         Ok(())
     }
 

@@ -58,29 +58,25 @@ pub struct ExploreTrace {
 }
 
 impl ExploreTrace {
-    /// Renders the trace as a single JSON object (hand-rolled — the
-    /// vendored serde has no JSON backend).
+    /// Every field as a `(name, value)` pair, in declaration order — the
+    /// keys and order of the `trace` object in `--stats-json`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"predict_ns\":{},\"prune_l1_ns\":{},\"search_ns\":{},\"integrate_ns\":{},\
-             \"feasibility_ns\":{},\"predictor_calls\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"evaluations\":{},\"quick_rejects\":{},\
-             \"subtrees_skipped\":{},\"combinations_skipped\":{},\"jobs\":{}}}",
-            self.predict_ns,
-            self.prune_l1_ns,
-            self.search_ns,
-            self.integrate_ns,
-            self.feasibility_ns,
-            self.predictor_calls,
-            self.cache_hits,
-            self.cache_misses,
-            self.evaluations,
-            self.quick_rejects,
-            self.subtrees_skipped,
-            self.combinations_skipped,
-            self.jobs,
-        )
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("predict_ns", self.predict_ns),
+            ("prune_l1_ns", self.prune_l1_ns),
+            ("search_ns", self.search_ns),
+            ("integrate_ns", self.integrate_ns),
+            ("feasibility_ns", self.feasibility_ns),
+            ("predictor_calls", self.predictor_calls),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("evaluations", self.evaluations),
+            ("quick_rejects", self.quick_rejects),
+            ("subtrees_skipped", self.subtrees_skipped),
+            ("combinations_skipped", self.combinations_skipped),
+            ("jobs", self.jobs),
+        ]
     }
 }
 
@@ -221,24 +217,8 @@ mod tests {
     #[test]
     fn json_has_every_field() {
         let t = ExploreTrace { jobs: 2, evaluations: 7, ..Default::default() };
-        let json = t.to_json();
-        for key in [
-            "predict_ns",
-            "prune_l1_ns",
-            "search_ns",
-            "integrate_ns",
-            "feasibility_ns",
-            "predictor_calls",
-            "cache_hits",
-            "cache_misses",
-            "evaluations",
-            "quick_rejects",
-            "subtrees_skipped",
-            "combinations_skipped",
-            "jobs",
-        ] {
-            assert!(json.contains(key), "{key} missing from {json}");
-        }
-        assert!(json.contains("\"evaluations\":7"));
+        let fields = t.fields();
+        assert!(fields.contains(&("evaluations", 7)));
+        assert!(fields.contains(&("jobs", 2)));
     }
 }

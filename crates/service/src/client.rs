@@ -206,6 +206,20 @@ impl Client {
         self.peers[self.active]
     }
 
+    /// Whether an idle connection can carry a new request: no reply
+    /// bytes are pending (such as an idle-reap notice) and the server
+    /// has not closed it since the last reply.
+    pub(crate) fn is_reusable(&self) -> bool {
+        if !self.reader.buffer().is_empty() || self.writer.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(
+            self.writer.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        self.writer.set_nonblocking(false).is_ok() && quiet
+    }
+
     /// Drops the current connection and redials, starting from the
     /// current peer and rotating through the rest of the node list.
     fn reconnect(&mut self, timeout: Duration) -> Result<(), ClientError> {

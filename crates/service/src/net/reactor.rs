@@ -3,9 +3,11 @@
 //! [`Reactor::run`] owns the listener and every accepted connection and
 //! multiplexes them over a single level-triggered epoll instance. It
 //! does *only* I/O and framing; request semantics stay with the
-//! [`LineHandler`] it is handed (for `chop serve`, the dispatch layer in
+//! [`LineHandler`] it is handed: for `chop serve`, the dispatch layer in
 //! `server.rs`, which answers cheap requests inline and sends explores
-//! to the worker pool).
+//! to the worker pool; for `chop router`, the front in `router.rs`,
+//! which sends each forwarded request, since it blocks on backend I/O,
+//! to the worker lane of its backend pair.
 //!
 //! Per-connection state machine:
 //!
@@ -48,14 +50,15 @@ use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::sys::{Epoll, EpollEvent, EVENT_ERROR, EVENT_HANGUP, EVENT_READ, EVENT_WRITE};
-use super::{refusal_line, LineBuffer, MAX_LINE_BYTES, POLL_INTERVAL};
-use crate::pool::Completions;
-use crate::protocol::{ErrorKind, Response};
+use super::{refusal_line, LineBuffer, ShutdownGate, MAX_LINE_BYTES, POLL_INTERVAL};
+use crate::pool::{panic_message, Completions};
+use crate::protocol::{ErrorKind, Response, ServiceError};
 
 /// Pending-output bytes past which a connection stops parsing and
 /// reading until the peer drains replies. Small enough to bound memory
@@ -81,16 +84,18 @@ pub(crate) enum LineOutcome {
     Dispatched,
 }
 
-/// Request semantics, supplied by the server layer.
+/// Request semantics, supplied by the server or the router.
 pub(crate) trait LineHandler {
     /// Handles one trimmed, non-empty request line from connection
     /// `conn`. Must not block on client I/O (the reactor owns all of
-    /// it); CPU-heavy work belongs in the worker pool via
-    /// [`LineOutcome::Dispatched`].
+    /// it); CPU-heavy or backend-blocking work belongs in the worker
+    /// pool via [`LineOutcome::Dispatched`]. A panic here is caught by
+    /// the reactor and answered as one `internal` error.
     fn handle_line(&self, conn: u64, line: &str) -> LineOutcome;
 }
 
-/// Reactor tuning, from the server's `ServeConfig`.
+/// Reactor tuning, from the server's `ServeConfig` or the router's
+/// constants.
 pub(crate) struct ReactorConfig {
     /// Connections past this cap are refused with a typed error.
     pub max_connections: usize,
@@ -205,7 +210,7 @@ pub(crate) struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
     completions: Arc<Completions>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownGate>,
     /// Chaos "power cord": severs every socket and returns immediately.
     kill: Option<Arc<AtomicBool>>,
     config: ReactorConfig,
@@ -227,7 +232,7 @@ impl Reactor {
     pub(crate) fn new(
         listener: TcpListener,
         completions: Arc<Completions>,
-        shutdown: Arc<AtomicBool>,
+        shutdown: Arc<ShutdownGate>,
         kill: Option<Arc<AtomicBool>>,
         config: ReactorConfig,
     ) -> std::io::Result<Self> {
@@ -271,7 +276,7 @@ impl Reactor {
                     return Ok(());
                 }
             }
-            if !self.draining && self.shutdown.load(Ordering::SeqCst) {
+            if !self.draining && self.shutdown.is_triggered() {
                 self.begin_drain(handler);
             }
             if self.draining && self.conns.is_empty() {
@@ -603,9 +608,13 @@ fn process_lines<H: LineHandler>(
                 {
                     LineStep::Reply(busy)
                 } else {
-                    match handler.handle_line(token, text) {
-                        LineOutcome::Reply(response) => LineStep::Reply(response),
-                        LineOutcome::Dispatched => LineStep::Dispatched,
+                    match catch_unwind(AssertUnwindSafe(|| handler.handle_line(token, text))) {
+                        Ok(LineOutcome::Reply(response)) => LineStep::Reply(response),
+                        Ok(LineOutcome::Dispatched) => LineStep::Dispatched,
+                        Err(payload) => LineStep::Reply(Response::Error(ServiceError::new(
+                            ErrorKind::Internal,
+                            format!("request handler panicked: {}", panic_message(&*payload)),
+                        ))),
                     }
                 }
             }

@@ -9,8 +9,13 @@
 //! reactor's eventfd doorbell. The reactor wakes, pops the completion
 //! and queues the encoded reply on the owning connection.
 //!
+//! [`offload`] is that hand-off, shared by both line handlers: the
+//! server's explore/optimize dispatch and the router's per-pair lanes
+//! and admin worker.
+//!
 //! The pool itself stays deliberately tiny — `std::sync::mpsc` plus a
-//! shared `Mutex<Receiver>` — because [`Admission`] already bounds how
+//! shared `Mutex<Receiver>` — because [`Admission`] (the server) or the
+//! one-dispatch-per-connection rule (the router) already bounds how
 //! much work can ever be queued.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,8 +24,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
+use crate::net::reactor::LineOutcome;
 use crate::net::sys::EventFd;
-use crate::protocol::Response;
+use crate::protocol::{ErrorKind, Response, ServiceError};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -75,6 +81,51 @@ impl WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Runs `job` on `pool` for connection `conn` and parks the connection
+/// until its [`Response`] comes back through `completions`. A panicking
+/// job still answers — an `internal` error naming `what` — so its
+/// connection never stays parked; a pool that is already shutting down
+/// is answered inline.
+pub(crate) fn offload<F>(
+    pool: &WorkerPool,
+    completions: &Arc<Completions>,
+    conn: u64,
+    what: &'static str,
+    job: F,
+) -> LineOutcome
+where
+    F: FnOnce() -> Response + Send + 'static,
+{
+    let completions = Arc::clone(completions);
+    let sent = pool.execute(Box::new(move || {
+        let response = catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+            Response::Error(ServiceError::new(
+                ErrorKind::Internal,
+                format!("{what} panicked: {}", panic_message(&*payload)),
+            ))
+        });
+        completions.push(conn, response);
+    }));
+    match sent {
+        Ok(()) => LineOutcome::Dispatched,
+        Err(()) => LineOutcome::Reply(Response::Error(ServiceError::new(
+            ErrorKind::Internal,
+            "server is shutting down",
+        ))),
+    }
+}
+
+/// Best-effort panic payload extraction.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic payload".to_owned()
     }
 }
 
@@ -214,6 +265,19 @@ mod tests {
         assert_eq!(got.len(), 8);
         assert_eq!(got[7].0, 7);
         assert!(completions.drain().is_empty(), "drain must take everything");
+    }
+
+    #[test]
+    fn offloaded_panic_still_completes_its_connection() {
+        let completions = Arc::new(Completions::new().expect("eventfd"));
+        let pool = WorkerPool::new(1);
+        let outcome = offload(&pool, &completions, 7, "forwarding", || panic!("boom"));
+        assert!(matches!(outcome, LineOutcome::Dispatched));
+        pool.shutdown();
+        let got = completions.drain();
+        let [(7, Response::Error(e))] = got.as_slice() else { panic!("{got:?}") };
+        assert_eq!(e.kind, ErrorKind::Internal);
+        assert_eq!(e.message, "forwarding panicked: boom");
     }
 
     #[test]

@@ -4,8 +4,18 @@
 //! The router owns no session state. It hashes each request's session
 //! name onto one of N backend *pairs* (a primary `chop serve --peer`
 //! plus its warm standby) with a [`HashRing`], forwards the request to
-//! the pair's active node, and relays the reply. Several things make a
-//! dead node survivable:
+//! the pair's active node, and relays the reply.
+//!
+//! It serves on the same epoll [`Reactor`] as `chop serve`: one thread
+//! owns every client connection's I/O, framing and drain. `shutdown` and
+//! `router_status` are answered inline. Everything else blocks on
+//! backends, so it parks its connection until a worker pushes the reply
+//! back (replies stay in request order): a forward runs on its pair's
+//! own worker *lane*, which also keeps that pair's idle backend
+//! connections, and membership changes run on one admin worker. A pair
+//! whose backend hangs therefore stalls only its own sessions' requests.
+//!
+//! Several things make a dead node survivable:
 //!
 //! * **Failover** — when the active node stops answering (a forwarded
 //!   request fails, or the health loop misses [`HEALTH_STRIKES`]
@@ -44,14 +54,16 @@
 //! in `tests/ring_props.rs`).
 
 use std::collections::HashMap;
-use std::io::ErrorKind as IoErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::client::{Client, ClientError, Jitter, RetryPolicy};
-use crate::net::{serve_blocking_lines, ShutdownGate, POLL_INTERVAL};
+use crate::net::reactor::{LineHandler, LineOutcome, Reactor, ReactorConfig};
+use crate::net::ShutdownGate;
+use crate::pool::{offload, Completions, WorkerPool};
 use crate::protocol::{ErrorKind, Request, Response, ServiceError};
+use crate::server::{DEFAULT_MAX_CONNECTIONS, DEFAULT_MAX_INFLIGHT};
 
 /// Virtual nodes per backend pair on the ring: enough to spread sessions
 /// evenly across a handful of pairs without a noticeable ring.
@@ -66,6 +78,12 @@ const HEALTH_PING_BUDGET_MS: u64 = 500;
 /// Retry budget for the `promote` call during failover (the standby is
 /// alive but may be mid-apply).
 const PROMOTE_BUDGET_MS: u64 = 2_000;
+/// Forwarding workers per pair: a default backend runs at most
+/// `max_inflight` explores at once and answers `busy` past that.
+const PAIR_WORKERS: usize = DEFAULT_MAX_INFLIGHT;
+/// Client connections held before new ones get a typed refusal: the
+/// same fd budget as a default `chop serve`.
+const ROUTER_MAX_CONNECTIONS: usize = DEFAULT_MAX_CONNECTIONS;
 
 /// FNV-1a 64-bit with an avalanche finalizer. Unseeded on purpose: ring
 /// placement must be identical across process restarts for router
@@ -198,14 +216,22 @@ struct PairState {
     strikes: u32,
 }
 
-/// One pair plus its mutable state. The mutex serializes failover:
-/// however many request threads and the health loop notice a death at
-/// once, exactly one `promote` is sent.
+/// One pair plus its mutable state and its forwarding lane.
 struct Pair {
     /// The ring label: the configured primary address, stable across
     /// failovers and router restarts.
     label: String,
+    /// Serializes failover across the `promote` round trip: however many
+    /// workers and the health loop notice a death at once, exactly one
+    /// `promote` is sent. `state` itself is never held across I/O, so
+    /// `router_status` can read it on the reactor thread.
+    failover: Mutex<()>,
     state: Mutex<PairState>,
+    /// Idle connections to this pair's nodes, keyed by address. A worker
+    /// checks one out per request and returns it after a clean reply.
+    idle: Mutex<HashMap<String, Vec<Client>>>,
+    /// The workers that forward this pair's requests.
+    lane: WorkerPool,
 }
 
 impl Pair {
@@ -213,17 +239,54 @@ impl Pair {
         let armed = spec.standby.is_some();
         Self {
             label: spec.primary.clone(),
+            failover: Mutex::new(()),
             state: Mutex::new(PairState {
                 active: spec.primary,
                 standby: spec.standby,
                 armed,
                 strikes: 0,
             }),
+            idle: Mutex::new(HashMap::new()),
+            lane: WorkerPool::new(PAIR_WORKERS),
         }
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, PairState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The active address, once any failover in progress has settled.
     fn active(&self) -> String {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).active.clone()
+        let _settled = self.failover.lock().unwrap_or_else(PoisonError::into_inner);
+        self.state().active.clone()
+    }
+
+    /// Sends one request over an idle connection to `addr`, dialing when
+    /// none is left. A clean reply returns the connection to the pool; a
+    /// transport failure drops it.
+    fn send_via(
+        &self,
+        addr: &str,
+        request: &Request,
+        req_id: Option<&str>,
+    ) -> Result<Response, ClientError> {
+        let mut client = loop {
+            let idle = self.idle().get_mut(addr).and_then(Vec::pop);
+            match idle {
+                Some(client) if client.is_reusable() => break client,
+                // Closed or reaped by the backend while idle: sending on
+                // it would fail over a live pair, so drop it instead.
+                Some(_) => {}
+                None => break Client::connect_with_timeout(addr, BACKEND_CONNECT_TIMEOUT)?,
+            }
+        };
+        let response = client.request_tagged(request, req_id)?;
+        self.idle().entry(addr.to_owned()).or_default().push(client);
+        Ok(response)
+    }
+
+    fn idle(&self) -> std::sync::MutexGuard<'_, HashMap<String, Vec<Client>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fails the pair over *away from* `failed`: promotes the armed
@@ -234,21 +297,26 @@ impl Pair {
     /// already-promoted address. `gate` wakes the promote call's retry
     /// backoff on shutdown.
     fn fail_over(&self, failed: &str, gate: &ShutdownGate) -> Option<String> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.active != failed {
-            // Someone already failed over; the new active is the answer.
-            return Some(state.active.clone());
-        }
-        if !state.armed {
-            return None; // no standby, or it has not rejoined yet
-        }
-        let standby = state.standby.clone()?;
+        let _one = self.failover.lock().unwrap_or_else(PoisonError::into_inner);
+        let standby = {
+            let state = self.state();
+            if state.active != failed {
+                // Someone already failed over; the new active is the answer.
+                return Some(state.active.clone());
+            }
+            if !state.armed {
+                return None; // no standby, or it has not rejoined yet
+            }
+            state.standby.clone()?
+        };
         match promote(&standby, gate) {
             Ok((sessions, epoch)) => {
                 eprintln!(
                     "chop-router: backend {failed} is down; promoted standby {standby} \
                      ({sessions} sessions, epoch {epoch})"
                 );
+                self.idle().remove(failed);
+                let mut state = self.state();
                 state.standby = Some(std::mem::replace(&mut state.active, standby));
                 state.armed = false;
                 state.strikes = 0;
@@ -266,7 +334,8 @@ impl Pair {
     /// as the (unarmed) standby candidate until the health loop confirms
     /// it is synced.
     fn adopt_active(&self, redirect: &str) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let _one = self.failover.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state();
         if state.active == redirect {
             return;
         }
@@ -275,6 +344,7 @@ impl Pair {
             self.label, state.active
         );
         let demoted = std::mem::replace(&mut state.active, redirect.to_owned());
+        self.idle().remove(&demoted);
         state.standby = Some(demoted);
         state.armed = false;
         state.strikes = 0;
@@ -312,7 +382,7 @@ impl Shards {
     }
 }
 
-/// Everything the connection and health threads share.
+/// Everything the workers, the reactor and the health thread share.
 struct RouterState {
     /// The current topology; loaded per request, swapped on membership
     /// changes.
@@ -383,13 +453,26 @@ impl Router {
     }
 
     /// Proxies until a `shutdown` request (which the router answers
-    /// itself — it is not forwarded to the backends).
+    /// itself — it is not forwarded to the backends) or the
+    /// [`shutdown_handle`](Router::shutdown_handle) drains it: buffered
+    /// requests are answered and in-flight forwards finish first.
     ///
     /// # Errors
     ///
-    /// Only fatal listener errors.
+    /// Only fatal listener/epoll errors.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let completions = Arc::new(Completions::new()?);
+        let reactor = Reactor::new(
+            self.listener,
+            Arc::clone(&completions),
+            Arc::clone(&self.shutdown),
+            None,
+            ReactorConfig {
+                max_connections: ROUTER_MAX_CONNECTIONS,
+                idle_timeout: None,
+                max_requests_per_sec: None,
+            },
+        )?;
         let health = {
             let state = Arc::clone(&self.state);
             let shutdown = Arc::clone(&self.shutdown);
@@ -399,29 +482,66 @@ impl Router {
                 .spawn(move || health_loop(&state, &shutdown, interval))
                 .expect("failed to spawn health thread")
         };
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.is_triggered() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    connections.retain(|h| !h.is_finished());
-                    connections.push(std::thread::spawn(move || {
-                        handle_connection(stream, &state, &shutdown);
-                    }));
-                }
-                Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                    self.shutdown.wait_for(POLL_INTERVAL);
-                }
-                Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        let front = Front {
+            state: self.state,
+            // Membership changes serialize on `RouterState::membership`,
+            // so a second admin worker would only wait on it.
+            admin: WorkerPool::new(1),
+            completions,
+            shutdown: Arc::clone(&self.shutdown),
+        };
+        let result = reactor.run(&front);
+        // A fatal reactor error must still stop the health loop.
+        self.shutdown.trigger();
+        front.admin.shutdown();
+        let _ = health.join();
+        result
+    }
+}
+
+/// The router's request semantics on the reactor: `shutdown` and
+/// `router_status` are answered inline, `add_pair` / `remove_pair` run
+/// on the admin worker, and everything else is forwarded on the lane of
+/// the session's pair, with promote-and-retry on backend death.
+struct Front {
+    state: Arc<RouterState>,
+    admin: WorkerPool,
+    completions: Arc<Completions>,
+    shutdown: Arc<ShutdownGate>,
+}
+
+impl LineHandler for Front {
+    fn handle_line(&self, conn: u64, line: &str) -> LineOutcome {
+        let (request, req_id) = match Request::decode_tagged(line) {
+            Ok(decoded) => decoded,
+            Err(e) => return LineOutcome::Reply(Response::Error(e)),
+        };
+        let state = Arc::clone(&self.state);
+        match request {
+            Request::Shutdown => {
+                self.shutdown.trigger();
+                LineOutcome::Reply(Response::ShuttingDown)
+            }
+            Request::RouterStatus => LineOutcome::Reply(router_status(&state)),
+            Request::AddPair { pair } => {
+                let job = move || add_pair(&state, &pair);
+                offload(&self.admin, &self.completions, conn, "add_pair", job)
+            }
+            Request::RemovePair { pair } => {
+                let job = move || remove_pair(&state, &pair);
+                offload(&self.admin, &self.completions, conn, "remove_pair", job)
+            }
+            request => {
+                let shards = state.shards();
+                let key = request.session().unwrap_or("");
+                // `bind` and `remove_pair` never leave the ring empty.
+                let index = shards.ring.assign(key).expect("a non-empty ring");
+                let pair = Arc::clone(&shards.pairs[index]);
+                let gate = Arc::clone(&self.shutdown);
+                let job = move || forward(&pair, &request, req_id.as_deref(), &gate);
+                offload(&shards.pairs[index].lane, &self.completions, conn, "forwarding", job)
             }
         }
-        for handle in connections {
-            let _ = handle.join();
-        }
-        let _ = health.join();
-        Ok(())
     }
 }
 
@@ -454,12 +574,12 @@ fn health_loop(state: &RouterState, shutdown: &ShutdownGate, interval: Duration)
             let addr = pair.active();
             match ping(&addr, shutdown) {
                 Ok(pong) => {
-                    pair.state.lock().unwrap_or_else(PoisonError::into_inner).strikes = 0;
+                    pair.state().strikes = 0;
                     maybe_rearm(pair, &addr, &pong, shutdown);
                 }
                 Err(_) => {
                     let strikes = {
-                        let mut st = pair.state.lock().unwrap_or_else(PoisonError::into_inner);
+                        let mut st = pair.state();
                         if st.active != addr {
                             continue; // a request thread already failed over
                         }
@@ -482,7 +602,7 @@ fn health_loop(state: &RouterState, shutdown: &ShutdownGate, interval: Duration)
 /// the failover and is resyncing from the current primary.
 fn maybe_rearm(pair: &Pair, active: &str, active_pong: &PongInfo, gate: &ShutdownGate) {
     let candidate = {
-        let st = pair.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let st = pair.state();
         if st.armed {
             return;
         }
@@ -497,7 +617,7 @@ fn maybe_rearm(pair: &Pair, active: &str, active_pong: &PongInfo, gate: &Shutdow
     if !demoted || pong.epoch != active_pong.epoch {
         return;
     }
-    let mut st = pair.state.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut st = pair.state();
     if st.armed || st.active != active {
         return;
     }
@@ -524,61 +644,17 @@ fn ping(addr: &str, gate: &ShutdownGate) -> Result<PongInfo, ClientError> {
     }
 }
 
-/// Per-connection cache of backend connections, keyed by address (the
-/// same node may serve several pairs' sessions after membership churn).
-type BackendConns = HashMap<String, Client>;
-
-/// Reads newline-delimited requests off one client socket, forwarding
-/// each to its pair's active backend. The framing (oversized and
-/// truncated lines get a typed `protocol` error before the close) is
-/// [`serve_blocking_lines`] — the same rules the server enforces.
-fn handle_connection(stream: TcpStream, state: &RouterState, shutdown: &ShutdownGate) {
-    let mut conns: BackendConns = HashMap::new();
-    serve_blocking_lines(stream, shutdown, |line| respond(line, state, &mut conns, shutdown));
-}
-
-/// Decodes one line and routes it: `shutdown` stops the router itself,
-/// membership administration (`add_pair` / `remove_pair` /
-/// `router_status`) is handled by the router, and everything else is
-/// forwarded to the session's pair, with promote-and-retry on backend
-/// death.
-fn respond(
-    line: &str,
-    state: &RouterState,
-    conns: &mut BackendConns,
-    shutdown: &ShutdownGate,
-) -> Response {
-    let (request, req_id) = match Request::decode_tagged(line) {
-        Ok(decoded) => decoded,
-        Err(e) => return Response::Error(e),
-    };
-    match &request {
-        Request::Shutdown => {
-            shutdown.trigger();
-            Response::ShuttingDown
-        }
-        Request::AddPair { pair } => add_pair(state, pair, shutdown),
-        Request::RemovePair { pair } => remove_pair(state, pair, shutdown),
-        Request::RouterStatus => router_status(state),
-        _ => forward(state, conns, &request, req_id.as_deref(), shutdown),
-    }
-}
-
+/// Forwards one request to its session's pair: fail over and re-send
+/// when the active node dies, and follow a typed `standby`/`fenced`
+/// refusal to the primary it names.
 fn forward(
-    state: &RouterState,
-    conns: &mut BackendConns,
+    pair: &Pair,
     request: &Request,
     req_id: Option<&str>,
     gate: &ShutdownGate,
 ) -> Response {
-    let shards = state.shards();
-    let key = request.session().unwrap_or("");
-    let Some(index) = shards.ring.assign(key) else {
-        return Response::Error(ServiceError::new(ErrorKind::Internal, "empty backend ring"));
-    };
-    let pair = &shards.pairs[index];
     let active = pair.active();
-    let (response, via) = match send_via(conns, &active, request, req_id) {
+    let (response, via) = match pair.send_via(&active, request, req_id) {
         Ok(response) => (response, active.clone()),
         Err(first_err) => {
             let Some(next) = pair.fail_over(&active, gate) else {
@@ -598,7 +674,7 @@ fn forward(
                      safely — tag it with a req_id and resend",
                 ));
             }
-            match send_via(conns, &next, request, req_id) {
+            match pair.send_via(&next, request, req_id) {
                 Ok(response) => (response, next),
                 Err(e) => {
                     return Response::Error(ServiceError::new(
@@ -622,7 +698,7 @@ fn forward(
         return response;
     }
     pair.adopt_active(&primary);
-    match send_via(conns, &primary, request, req_id) {
+    match pair.send_via(&primary, request, req_id) {
         Ok(redirected) => redirected,
         // The named primary did not answer: surface the original refusal
         // (it carries the redirect for the client to act on).
@@ -630,31 +706,11 @@ fn forward(
     }
 }
 
-/// Sends one request over the cached connection for `addr`, dialing as
-/// needed; a transport failure evicts the cached connection.
-fn send_via(
-    conns: &mut BackendConns,
-    addr: &str,
-    request: &Request,
-    req_id: Option<&str>,
-) -> Result<Response, ClientError> {
-    if !conns.contains_key(addr) {
-        let client = Client::connect_with_timeout(addr, BACKEND_CONNECT_TIMEOUT)?;
-        conns.insert(addr.to_owned(), client);
-    }
-    let client = conns.get_mut(addr).expect("connection just ensured");
-    let outcome = client.request_tagged(request, req_id);
-    if outcome.is_err() {
-        conns.remove(addr);
-    }
-    outcome
-}
-
 // ---- membership ---------------------------------------------------------
 
 /// Adds a backend pair to the ring, migrating the sessions whose
 /// assignment moves onto it before the new topology goes live.
-fn add_pair(state: &RouterState, spec: &str, gate: &ShutdownGate) -> Response {
+fn add_pair(state: &RouterState, spec: &str) -> Response {
     let spec = match BackendSpec::parse(spec) {
         Ok(spec) => spec,
         Err(e) => return Response::Error(ServiceError::new(ErrorKind::Spec, e)),
@@ -670,7 +726,7 @@ fn add_pair(state: &RouterState, spec: &str, gate: &ShutdownGate) -> Response {
     let mut pairs = old.pairs.clone();
     pairs.push(Arc::new(Pair::new(spec)));
     let new = Arc::new(Shards::build(pairs));
-    if let Err(e) = migrate(&old, &new, gate) {
+    if let Err(e) = migrate(&old, &new) {
         return Response::Error(e);
     }
     *state.shards.lock().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&new);
@@ -679,7 +735,7 @@ fn add_pair(state: &RouterState, spec: &str, gate: &ShutdownGate) -> Response {
 
 /// Removes the pair labeled `label` (its configured primary address),
 /// migrating its sessions onto the remaining pairs first.
-fn remove_pair(state: &RouterState, label: &str, gate: &ShutdownGate) -> Response {
+fn remove_pair(state: &RouterState, label: &str) -> Response {
     let _admin = state.membership.lock().unwrap_or_else(PoisonError::into_inner);
     let old = state.shards();
     if !old.pairs.iter().any(|p| p.label == label) {
@@ -697,7 +753,7 @@ fn remove_pair(state: &RouterState, label: &str, gate: &ShutdownGate) -> Respons
         ));
     }
     let new = Arc::new(Shards::build(pairs));
-    if let Err(e) = migrate(&old, &new, gate) {
+    if let Err(e) = migrate(&old, &new) {
         return Response::Error(e);
     }
     *state.shards.lock().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&new);
@@ -711,7 +767,7 @@ fn router_status(state: &RouterState) -> Response {
         .pairs
         .iter()
         .map(|p| {
-            let st = p.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let st = p.state();
             format!(
                 "{}: active={} standby={} armed={} strikes={}",
                 p.label,
@@ -730,7 +786,7 @@ fn router_status(state: &RouterState) -> Response {
 /// old active, import on the new active, close on the old. The
 /// consistent-hash property keeps this minimal — only sessions touching
 /// the added/removed label move.
-fn migrate(old: &Shards, new: &Shards, _gate: &ShutdownGate) -> Result<u64, ServiceError> {
+fn migrate(old: &Shards, new: &Shards) -> Result<u64, ServiceError> {
     let mut moved = 0u64;
     for pair in &old.pairs {
         let from = pair.active();

@@ -17,19 +17,19 @@
 //! ```
 //!
 //! * **Scaling** — an idle connection costs a hash-map entry and an
-//!   epoll registration, not a thread and 10 wakeups/second. The old
-//!   thread-per-connection loop lives on only in `chop router`.
+//!   epoll registration, not a thread and 10 wakeups/second. `chop
+//!   router` runs on the same reactor with its own line handler.
 //! * **Backpressure** — an `explore` is admitted only while fewer than
 //!   `max_inflight` explorations are queued or running; past that the
 //!   client gets a typed [`Response::Busy`] immediately. A client that
 //!   stops *reading* gets per-connection backpressure instead: its
 //!   output queue caps, its reads pause, and its memory stays bounded.
 //! * **Panic isolation** — every request is handled under
-//!   `catch_unwind`, twice for explorations (once around the dispatch,
-//!   once inside the worker job), so one poisoned request produces one
-//!   `internal` error response and the server keeps serving.
-//! * **Graceful drain** — a `shutdown` request flips a shared flag; the
-//!   reactor stops accepting and reading, answers what is buffered
+//!   `catch_unwind`, twice for explorations (once around the dispatch in
+//!   the reactor, once inside the worker job), so one poisoned request
+//!   produces one `internal` error response and the server keeps serving.
+//! * **Graceful drain** — a `shutdown` request trips a [`ShutdownGate`];
+//!   the reactor stops accepting and reading, answers what is buffered
 //!   (waiting out dispatched explorations), flushes and closes every
 //!   connection, and [`Server::run`] returns `Ok(())` (the CLI maps
 //!   that to exit 0). There is no in-process SIGINT hook (that would
@@ -37,8 +37,8 @@
 //!   [`Server::shutdown_handle`].
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+#[cfg(feature = "fault-inject")]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,8 +50,9 @@ use chop_core::prelude::{
 
 use crate::manager::{RecoveryReport, SessionManager};
 use crate::net::reactor::{LineHandler, LineOutcome, Reactor, ReactorConfig};
-use crate::pool::{Admission, Completions, WorkerPool};
-use crate::protocol::{ErrorKind, Request, Response, ServiceError};
+use crate::net::ShutdownGate;
+use crate::pool::{offload, Admission, Completions, WorkerPool};
+use crate::protocol::{Request, Response};
 use crate::replication::Replicator;
 
 /// Server tuning knobs.
@@ -105,17 +106,22 @@ pub struct ServeConfig {
     pub cache_snapshot_every: u64,
 }
 
+/// The default [`ServeConfig::max_inflight`].
+pub(crate) const DEFAULT_MAX_INFLIGHT: usize = 64;
+/// The default [`ServeConfig::max_connections`].
+pub(crate) const DEFAULT_MAX_CONNECTIONS: usize = 4096;
+
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_inflight: 64,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
             jobs: 1,
             state_dir: None,
             snapshot_every: 1024,
             standby: false,
             peer: None,
-            max_connections: 4096,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout_ms: 600_000,
             max_requests_per_sec: 0,
             cache_shards: 0,
@@ -129,7 +135,7 @@ impl Default for ServeConfig {
 pub struct Server {
     listener: TcpListener,
     manager: Arc<SessionManager>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownGate>,
     config: ServeConfig,
     recovery: Option<RecoveryReport>,
     cache_warmed: Option<SnapshotLoaded>,
@@ -190,7 +196,7 @@ impl Server {
         Ok(Self {
             listener,
             manager: Arc::new(manager),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(ShutdownGate::new()),
             config,
             recovery,
             cache_warmed,
@@ -228,12 +234,13 @@ impl Server {
         Arc::clone(&self.manager)
     }
 
-    /// The drain flag: storing `true` makes [`run`](Server::run) stop
-    /// accepting, drain and return. The wire `shutdown` request sets the
-    /// same flag; this handle exists for embedders (e.g. a signal hook).
-    /// The reactor re-checks it at least every poll interval.
+    /// The drain gate: [`trigger`](ShutdownGate::trigger) makes
+    /// [`run`](Server::run) stop accepting, drain and return. The wire
+    /// `shutdown` request trips the same gate; this handle exists for
+    /// embedders (e.g. a signal hook). The reactor re-checks it at least
+    /// every poll interval.
     #[must_use]
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
+    pub fn shutdown_handle(&self) -> Arc<ShutdownGate> {
         Arc::clone(&self.shutdown)
     }
 
@@ -259,11 +266,10 @@ impl Server {
             .peer
             .as_ref()
             .map(|addr| Replicator::start(Arc::clone(&self.manager), addr.clone()));
-        let pool = Arc::new(WorkerPool::new(self.config.workers));
         let completions = Arc::new(Completions::new()?);
         let dispatch = Dispatch {
             manager: Arc::clone(&self.manager),
-            pool: Arc::clone(&pool),
+            pool: WorkerPool::new(self.config.workers),
             completions: Arc::clone(&completions),
             admission: Arc::new(Admission::new(self.config.max_inflight)),
             shutdown: Arc::clone(&self.shutdown),
@@ -288,15 +294,16 @@ impl Server {
         // Periodic cache snapshots: a sidecar thread re-persists the
         // prediction cache whenever enough insertions accumulated, so
         // even an ungraceful death warm-starts from a recent snapshot.
-        let snapshot_stop = Arc::new(AtomicBool::new(false));
+        let snapshot_stop = Arc::new(ShutdownGate::new());
         let snapshot_thread = self.config.cache_snapshot.clone().map(|path| {
             let cache = self.manager.shared_cache();
             let stop = Arc::clone(&snapshot_stop);
             let every = self.config.cache_snapshot_every;
+            // Counted before the spawn: inserts made while the thread is
+            // still unscheduled must count as unpersisted.
+            let mut persisted = cache.insertions();
             std::thread::spawn(move || {
-                let mut persisted = cache.insertions();
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(100));
+                while !stop.wait_for(Duration::from_millis(100)) {
                     if every > 0 && cache.insertions().saturating_sub(persisted) >= every {
                         match write_snapshot(&path, &cache) {
                             // Re-read after the write: inserts that raced
@@ -311,7 +318,7 @@ impl Server {
             })
         });
         let stop_snapshots = |final_write: bool| {
-            snapshot_stop.store(true, Ordering::SeqCst);
+            snapshot_stop.trigger();
             if let Some(thread) = snapshot_thread {
                 let _ = thread.join();
             }
@@ -336,10 +343,7 @@ impl Server {
             stop_snapshots(false);
             return result;
         }
-        drop(dispatch);
-        if let Ok(pool) = Arc::try_unwrap(pool) {
-            pool.shutdown();
-        }
+        dispatch.pool.shutdown();
         // Graceful drain: persist the cache exactly once more, after the
         // pool finished every in-flight explore.
         stop_snapshots(true);
@@ -353,113 +357,55 @@ impl Server {
 /// its reply back through the completion queue.
 struct Dispatch {
     manager: Arc<SessionManager>,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     completions: Arc<Completions>,
     admission: Arc<Admission>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownGate>,
 }
 
 impl LineHandler for Dispatch {
+    /// Decodes and dispatches: `shutdown` trips the drain gate,
+    /// `explore` and `optimize` go through admission control and the
+    /// worker pool, everything else is answered inline by the manager.
     fn handle_line(&self, conn: u64, line: &str) -> LineOutcome {
-        match catch_unwind(AssertUnwindSafe(|| self.route(conn, line))) {
-            Ok(outcome) => outcome,
-            Err(payload) => LineOutcome::Reply(Response::Error(ServiceError::new(
-                ErrorKind::Internal,
-                format!("request handler panicked: {}", panic_message(&payload)),
-            ))),
-        }
-    }
-}
-
-impl Dispatch {
-    /// Decodes and dispatches: `shutdown` flips the drain flag,
-    /// `explore` goes through admission control and the worker pool,
-    /// everything else is answered inline by the manager.
-    fn route(&self, conn: u64, line: &str) -> LineOutcome {
         let (request, req_id) = match Request::decode_tagged(line) {
             Ok(decoded) => decoded,
             Err(e) => return LineOutcome::Reply(Response::Error(e)),
         };
-        match request {
-            Request::Shutdown => {
-                self.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                LineOutcome::Reply(Response::ShuttingDown)
-            }
-            Request::Explore { session, params } => {
-                let Some(token) = self.admission.try_acquire() else {
-                    return LineOutcome::Reply(self.admission.busy_reply());
-                };
-                let manager = Arc::clone(&self.manager);
-                let completions = Arc::clone(&self.completions);
-                let job = Box::new(move || {
-                    let _token = token;
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| manager.explore(&session, &params)));
-                    let response = match result {
-                        Ok(Ok(run)) => Response::Explored { session, run },
-                        Ok(Err(e)) => Response::Error(e),
-                        Err(payload) => Response::Error(ServiceError::new(
-                            ErrorKind::Internal,
-                            format!("exploration panicked: {}", panic_message(&payload)),
-                        )),
-                    };
-                    completions.push(conn, response);
-                });
-                if self.pool.execute(job).is_err() {
-                    return LineOutcome::Reply(Response::Error(ServiceError::new(
-                        ErrorKind::Internal,
-                        "server is shutting down",
-                    )));
-                }
-                LineOutcome::Dispatched
-            }
-            // Optimize is CPU-bound like explore, so it shares the pool
-            // and the admission window. The full request is re-dispatched
-            // through the manager inside the job: that is where standby
-            // refusal, `req_id` dedup and journaling of the accepted
-            // trace live.
-            request @ Request::Optimize { .. } => {
-                let Some(token) = self.admission.try_acquire() else {
-                    return LineOutcome::Reply(self.admission.busy_reply());
-                };
-                let manager = Arc::clone(&self.manager);
-                let completions = Arc::clone(&self.completions);
-                let job = Box::new(move || {
-                    let _token = token;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        manager.dispatch_tagged(&request, req_id.as_deref())
-                    }));
-                    let response = result.unwrap_or_else(|payload| {
-                        Response::Error(ServiceError::new(
-                            ErrorKind::Internal,
-                            format!("optimization panicked: {}", panic_message(&payload)),
-                        ))
-                    });
-                    completions.push(conn, response);
-                });
-                if self.pool.execute(job).is_err() {
-                    return LineOutcome::Reply(Response::Error(ServiceError::new(
-                        ErrorKind::Internal,
-                        "server is shutting down",
-                    )));
-                }
-                LineOutcome::Dispatched
-            }
-            other => {
-                LineOutcome::Reply(self.manager.dispatch_tagged(&other, req_id.as_deref()))
-            }
+        if matches!(request, Request::Shutdown) {
+            self.shutdown.trigger();
+            return LineOutcome::Reply(Response::ShuttingDown);
         }
-    }
-}
-
-/// Best-effort panic payload extraction.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
+        // Optimize is CPU-bound like explore, so it shares the pool and
+        // the admission window. The full request is re-dispatched
+        // through the manager inside the job: that is where standby
+        // refusal, `req_id` dedup and journaling of the accepted trace
+        // live.
+        let what = match request {
+            Request::Explore { .. } => "exploration",
+            Request::Optimize { .. } => "optimization",
+            other => {
+                return LineOutcome::Reply(
+                    self.manager.dispatch_tagged(&other, req_id.as_deref()),
+                )
+            }
+        };
+        let Some(token) = self.admission.try_acquire() else {
+            return LineOutcome::Reply(self.admission.busy_reply());
+        };
+        let manager = Arc::clone(&self.manager);
+        offload(&self.pool, &self.completions, conn, what, move || {
+            let _token = token;
+            match request {
+                Request::Explore { session, params } => {
+                    match manager.explore(&session, &params) {
+                        Ok(run) => Response::Explored { session, run },
+                        Err(e) => Response::Error(e),
+                    }
+                }
+                request => manager.dispatch_tagged(&request, req_id.as_deref()),
+            }
+        })
     }
 }
 
@@ -467,6 +413,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::net::MAX_LINE_BYTES;
+    use crate::protocol::{ErrorKind, ServiceError};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 

@@ -5,16 +5,23 @@
 //! `service_e2e.rs`; this suite pokes at the readiness machinery itself
 //! — slowloris drip-feeding, idle reaping, write backpressure against a
 //! non-reading client, and reply ordering under pipelining.
+//!
+//! The ordering and drain cases run twice: against a server, and
+//! against a `Router` in front of one (the `router_front_*` tests),
+//! since both serve on the same reactor. The framing refusals run only
+//! behind the router; the server's own are unit tests in `server.rs`.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chop_service::net::MAX_LINE_BYTES;
 use chop_service::{
-    ErrorKind, ExploreParams, OpenParams, Request, Response, ServeConfig, Server,
+    BackendSpec, ErrorKind, ExploreParams, HashRing, OpenParams, Request, Response, Router,
+    RouterConfig, ServeConfig, Server,
 };
 
 /// The five-node running example (mul feeding an add chain).
@@ -28,6 +35,41 @@ fn start_server(config: ServeConfig) -> (std::net::SocketAddr, thread::JoinHandl
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let handle = thread::spawn(move || server.run().expect("server drains cleanly"));
+    (addr, handle)
+}
+
+/// Who the test clients talk to.
+#[derive(Clone, Copy)]
+enum Front {
+    Server,
+    /// A one-pair `Router` forwarding to an in-process server.
+    Router,
+}
+
+/// Starts a server, behind a router for [`Front::Router`]. Returns the
+/// address clients dial and a thread that ends once the front drained:
+/// a wire `shutdown` stops only the router, so that thread then drains
+/// the server behind it too.
+fn start_front(
+    front: Front,
+    config: ServeConfig,
+) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
+    let (server_addr, server) = start_server(config);
+    if let Front::Server = front {
+        return (server_addr, server);
+    }
+    let pair = BackendSpec { primary: server_addr.to_string(), standby: None };
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig { pairs: vec![pair], ..RouterConfig::default() },
+    )
+    .expect("bind router");
+    let addr = router.local_addr().expect("router addr");
+    let handle = thread::spawn(move || {
+        router.run().expect("router drains cleanly");
+        shutdown_via_fresh_conn(server_addr);
+        server.join().expect("server thread");
+    });
     (addr, handle)
 }
 
@@ -236,12 +278,25 @@ fn non_reading_client_is_backpressured_not_buffered_without_bound() {
 
 #[test]
 fn pipelined_mix_of_inline_and_dispatched_requests_answers_in_order() {
-    let (addr, server) =
-        start_server(ServeConfig { workers: 2, jobs: test_jobs(), ..ServeConfig::default() });
+    pipelined_mix_answers_in_order(Front::Server);
+}
 
-    // One syscall carrying open + explore + ping + explore + ping: the
-    // explores park the connection in the worker pool mid-pipeline, and
-    // the pings behind them must not jump the queue.
+#[test]
+fn router_front_pipelined_mix_answers_in_order() {
+    pipelined_mix_answers_in_order(Front::Router);
+}
+
+fn pipelined_mix_answers_in_order(front: Front) {
+    let (addr, server) = start_front(
+        front,
+        ServeConfig { workers: 2, jobs: test_jobs(), ..ServeConfig::default() },
+    );
+
+    // One syscall carrying open + explore + ping + explore + garbage +
+    // ping: the explores park the connection in the worker pool
+    // mid-pipeline (on a router, every forwarded request does), and the
+    // requests behind them — including the malformed line, which is
+    // answered inline — must not jump the queue.
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let explore = Request::Explore { session: "pipe".into(), params: ExploreParams::default() };
@@ -253,6 +308,7 @@ fn pipelined_mix_of_inline_and_dispatched_requests_answers_in_order() {
     burst.extend(encode_line(&explore));
     burst.extend(encode_line(&Request::Ping));
     burst.extend(encode_line(&explore));
+    burst.extend(b"this is not json\n");
     burst.extend(encode_line(&Request::Ping));
     stream.write_all(&burst).expect("pipelined burst");
 
@@ -262,11 +318,222 @@ fn pipelined_mix_of_inline_and_dispatched_requests_answers_in_order() {
     assert!(matches!(read_response(&mut reader), Response::Pong { .. }));
     let second = read_response(&mut reader);
     let Response::Explored { run: second_run, .. } = second else { panic!("{second:?}") };
+    let garbage = read_response(&mut reader);
+    let Response::Error(e) = garbage else { panic!("{garbage:?}") };
+    assert_eq!(e.kind, ErrorKind::Protocol);
     assert!(matches!(read_response(&mut reader), Response::Pong { .. }));
     assert_eq!(first_run.digest, second_run.digest, "explores are deterministic");
 
     stream.write_all(&encode_line(&Request::Shutdown)).expect("shutdown");
     assert_eq!(read_response(&mut reader), Response::ShuttingDown);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn router_front_oversized_line_gets_protocol_error_then_close() {
+    let (addr, server) = start_front(
+        Front::Router,
+        ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() },
+    );
+
+    // Just past the limit with no newline, and past it *with* one: both
+    // get one typed protocol error and a close, and neither is parsed.
+    for terminated in [false, true] {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut blob = vec![b' '; MAX_LINE_BYTES + 1];
+        if terminated {
+            blob.push(b'\n');
+        }
+        writer.write_all(&blob).expect("oversized line");
+        let reply = read_response(&mut reader);
+        let Response::Error(e) = reply else { panic!("{reply:?}") };
+        assert_eq!(e.kind, ErrorKind::Protocol);
+        assert!(e.message.contains("exceeds"), "{}", e.message);
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "must close after refusal");
+    }
+
+    shutdown_via_fresh_conn(addr);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn router_front_truncated_request_at_eof_gets_protocol_error() {
+    let (addr, server) = start_front(
+        Front::Router,
+        ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() },
+    );
+
+    // Half a request, then a half-close: a typed error names what got
+    // lost instead of a silent close.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(b"{\"v\":1,\"type\":\"pi").expect("half a request");
+    writer.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let reply = read_response(&mut reader);
+    let Response::Error(e) = reply else { panic!("{reply:?}") };
+    assert_eq!(e.kind, ErrorKind::Protocol);
+    assert!(e.message.contains("truncated"), "{}", e.message);
+
+    shutdown_via_fresh_conn(addr);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn wire_shutdown_drains_promptly_despite_an_idle_client() {
+    shutdown_with_idle_client(Front::Server);
+}
+
+#[test]
+fn router_front_wire_shutdown_drains_promptly_despite_an_idle_client() {
+    shutdown_with_idle_client(Front::Router);
+}
+
+fn shutdown_with_idle_client(front: Front) {
+    let (addr, server) = start_front(
+        front,
+        ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() },
+    );
+
+    // A connected client that never sends anything must not hold the
+    // drain open: it is closed, and `run` returns.
+    let idle = TcpStream::connect(addr).expect("idle connect");
+    idle.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let mut idle_reader = BufReader::new(idle);
+    shutdown_via_fresh_conn(addr);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.is_finished() {
+        assert!(Instant::now() < deadline, "an idle client held the drain open");
+        thread::sleep(Duration::from_millis(10));
+    }
+    server.join().expect("server thread");
+    let mut line = String::new();
+    assert_eq!(idle_reader.read_line(&mut line).expect("eof"), 0, "idle client must be closed");
+}
+
+#[test]
+fn router_front_redials_backend_connections_the_server_reaped() {
+    // The router keeps backend connections between requests. Once the
+    // server has reaped one for idleness (typed error, then close), the
+    // router must dial afresh instead of reading that stale notice as
+    // the reply — or failing the pair over.
+    let (addr, server) = start_front(
+        Front::Router,
+        ServeConfig {
+            workers: 1,
+            jobs: test_jobs(),
+            idle_timeout_ms: 100,
+            ..ServeConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for _ in 0..3 {
+        stream.write_all(&encode_line(&Request::Ping)).expect("ping");
+        let reply = read_response(&mut reader);
+        assert!(matches!(reply, Response::Pong { .. }), "{reply:?}");
+        thread::sleep(Duration::from_millis(400));
+    }
+    stream.write_all(&encode_line(&Request::Shutdown)).expect("shutdown");
+    assert_eq!(read_response(&mut reader), Response::ShuttingDown);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn router_front_hung_pair_stalls_only_its_own_sessions() {
+    let (server_addr, server) =
+        start_server(ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() });
+
+    // A "backend" that accepts connections and never replies. Bind until
+    // the ring (64 vnodes per pair, as in the router) puts the empty
+    // routing key — `ping`'s — on the live server's pair.
+    let (hole, ring) = loop {
+        let hole = TcpListener::bind("127.0.0.1:0").expect("bind hole");
+        let labels =
+            vec![server_addr.to_string(), hole.local_addr().expect("addr").to_string()];
+        let ring = HashRing::new(labels, 64);
+        if ring.assign("") == Some(0) {
+            break (hole, ring);
+        }
+    };
+    let hole_addr = hole.local_addr().expect("hole addr");
+    let stuck_session = (0..)
+        .map(|i| format!("s{i}"))
+        .find(|s| ring.assign(s) == Some(1))
+        .expect("a hole session");
+    hole.set_nonblocking(true).expect("nonblocking hole");
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+    let hole_thread = {
+        let (accepted, release) = (Arc::clone(&accepted), Arc::clone(&release));
+        thread::spawn(move || {
+            let mut held = Vec::new();
+            while !release.load(Ordering::SeqCst) {
+                match hole.accept() {
+                    Ok((stream, _)) => {
+                        held.push(stream);
+                        accepted.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(_) => thread::sleep(Duration::from_millis(5)),
+                }
+            }
+        })
+    };
+
+    let pairs = [server_addr, hole_addr]
+        .map(|a| BackendSpec { primary: a.to_string(), standby: None })
+        .to_vec();
+    // No health pings: only forwards may reach the hole.
+    let config = RouterConfig { pairs, health_interval: Duration::from_secs(600) };
+    let router = Router::bind("127.0.0.1:0", config).expect("bind router");
+    let addr = router.local_addr().expect("router addr");
+    let router = thread::spawn(move || router.run().expect("router drains cleanly"));
+
+    // More hung requests than a default backend's explore cap, one per
+    // connection: every worker that could serve the hole's pair is stuck.
+    let cap = ServeConfig::default().max_inflight;
+    let stats = Request::Stats { session: Some(stuck_session) };
+    let mut stuck: Vec<TcpStream> = (0..cap + 8)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&encode_line(&stats)).expect("stuck request");
+            stream
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while accepted.load(Ordering::SeqCst) < cap {
+        assert!(Instant::now() < deadline, "only {accepted:?} forwards reached the hole");
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    // The other pair, and the router's own status, still answer.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(&encode_line(&Request::Ping)).expect("ping");
+    let reply = read_response(&mut reader);
+    assert!(matches!(reply, Response::Pong { .. }), "{reply:?}");
+    writer.write_all(&encode_line(&Request::RouterStatus)).expect("router_status");
+    let reply = read_response(&mut reader);
+    assert!(matches!(reply, Response::RouterStatus { .. }), "{reply:?}");
+
+    // Once the hole hangs up, every stuck request gets a typed error.
+    release.store(true, Ordering::SeqCst);
+    hole_thread.join().expect("hole thread");
+    for stream in &mut stuck {
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let reply = read_response(&mut BufReader::new(stream.try_clone().expect("clone")));
+        let Response::Error(e) = reply else { panic!("{reply:?}") };
+        assert_eq!(e.kind, ErrorKind::Internal, "{}", e.message);
+    }
+    writer.write_all(&encode_line(&Request::Shutdown)).expect("shutdown");
+    assert_eq!(read_response(&mut reader), Response::ShuttingDown);
+    router.join().expect("router thread");
+    shutdown_via_fresh_conn(server_addr);
     server.join().expect("server thread");
 }
 
