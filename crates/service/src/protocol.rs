@@ -1991,8 +1991,67 @@ mod tests {
             r#"{"v":1,"type":"open","session":7,"spec":""}"#,
             r#"{"v":1,"type":"explore","session":"s","heuristic":"Q"}"#,
             r#"{"v":1,"type":"repartition","session":"s","node":-1,"to":0}"#,
+            // A missing required field.
+            r#"{"v":1,"type":"repartition","session":"s","to":0}"#,
+            r#"{"v":1,"type":"open","spec":""}"#,
+            // A wrong type for each field type.
+            r#"{"v":1,"type":"close","session":["s"]}"#,
+            r#"{"v":1,"type":"repl_apply","seq":"7","record":"r"}"#,
+            r#"{"v":1,"type":"repartition","session":"s","node":1.5,"to":0}"#,
+            r#"{"v":1,"type":"set_constraints","session":"s","performance_ns":"1","delay_ns":1}"#,
+            r#"{"v":1,"type":"open","session":"s","spec":"","multi_cycle":1}"#,
+            r#"{"v":1,"type":"optimize","session":"s","pinned":3}"#,
+            r#"{"v":1,"type":"optimize","session":"s","groups":[["1"]]}"#,
+            r#"{"v":1,"type":"apply_moves","session":"s","moves":[7]}"#,
+            r#"{"v":1,"type":"stats","session":false}"#,
+            // u32 overflow, and a seed above 2^53.
+            r#"{"v":1,"type":"repartition","session":"s","node":4294967296,"to":0}"#,
+            r#"{"v":1,"type":"open","session":"s","spec":"","partitions":4294967296}"#,
+            r#"{"v":1,"type":"optimize","session":"s","seed":9007199254740994}"#,
+            // An unknown tag for each request-side tag enum.
+            r#"{"v":1,"type":"optimize","session":"s","heuristic":"e"}"#,
+            r#"{"v":1,"type":"role_change","epoch":1,"role":"leader"}"#,
+            // Non-string `records` items, non-array `moves`, non-object
+            // `budget`.
+            r#"{"v":1,"type":"repl_snapshot","seq":1,"records":["r",1]}"#,
+            r#"{"v":1,"type":"import","records":[null]}"#,
+            r#"{"v":1,"type":"apply_moves","session":"s","moves":{"3":1}}"#,
+            r#"{"v":1,"type":"optimize","session":"s","budget":[250]}"#,
         ] {
             let err = Request::decode(bad).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Protocol, "{bad}");
+        }
+        let run = r#"{"heuristic":"I","digest":"d","trials":1,"feasible_trials":1,"feasible":1,"completion":"complete","degraded":false,"elapsed_ms":1,"predictor_calls":0,"cache_hits":0,"cache_misses":0,"subtrees_skipped":0,"combinations_skipped":0}"#;
+        let explored = format!(r#"{{"v":1,"type":"explored","session":"s","run":{run}}}"#);
+        let optimized = format!(
+            r#"{{"v":1,"type":"optimized","session":"s","result":{{"digest":"d","feasible":true,"initial_score":1,"final_score":1,"evaluations":1,"passes":1,"kicks":0,"completion":"complete","moves":[{{"nodes":[1],"from":0,"to":1,"pass":1,"kind":"gain"}}],"run":{run}}}}}"#
+        );
+        // The unmutated lines decode; each mutation below breaks one rule.
+        Response::decode(&explored).unwrap();
+        Response::decode(&optimized).unwrap();
+        for bad in [
+            r#"{"v":1,"type":"gossip"}"#.to_owned(),
+            r#"{"v":1,"type":"opened","session":"s"}"#.to_owned(),
+            r#"{"v":1,"type":"repl_ack","seq":-1}"#.to_owned(),
+            r#"{"v":1,"type":"pong","version":1,"role":5}"#.to_owned(),
+            explored.replace(r#""degraded":false"#, r#""degraded":"no""#),
+            explored.replace(r#""elapsed_ms":1"#, r#""elapsed_ms":"1""#),
+            explored.replace(r#""trials":1,"#, r#""trials":1e300,"#),
+            // An unknown tag for each response-side tag enum.
+            explored.replace(r#""heuristic":"I""#, r#""heuristic":"Q""#),
+            explored.replace(r#""completion":"complete""#, r#""completion":"done""#),
+            optimized.replace(r#""kind":"gain""#, r#""kind":"jump""#),
+            r#"{"v":1,"type":"error","kind":"oops","message":"m"}"#.to_owned(),
+            // u32 overflow inside a nested record; non-array `moves`.
+            optimized.replace(r#""passes":1"#, r#""passes":4294967296"#),
+            optimized.replace(r#""nodes":[1]"#, r#""nodes":[4294967296]"#),
+            optimized.replace(r#""moves":[{"nodes":[1],"from":0,"to":1,"pass":1,"kind":"gain"}]"#, r#""moves":7"#),
+            // Non-string items in string arrays.
+            r#"{"v":1,"type":"exported","session":"s","records":[1]}"#.to_owned(),
+            r#"{"v":1,"type":"router_status","pairs":[true]}"#.to_owned(),
+            r#"{"v":1,"type":"stats","sessions":[1],"cache":{"hits":0,"misses":0,"evictions":0,"entries":0,"bytes":0}}"#.to_owned(),
+        ] {
+            let err = Response::decode(&bad).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Protocol, "{bad}");
         }
     }
