@@ -6,10 +6,15 @@
 //! are ignored for forward compatibility; an unknown *type* or a version
 //! mismatch is a [`ErrorKind::Protocol`] error.
 //!
-//! Encoding and decoding are hand-written against the [`json`](crate::json)
-//! module (the vendored `serde` is a no-op stub), and the round-trip
-//! guarantee — `decode(encode(m)) == m` for every variant — is enforced by
-//! property tests in `tests/protocol_roundtrip.rs`.
+//! Encoding and decoding run on the [`crate::json`] value model (the
+//! vendored `serde` is a no-op stub) through one private field codec:
+//! every wire type — scalars, lists, the summary records and the tag
+//! enums — maps to JSON and back in exactly one place, and each tag enum
+//! reads its wire names from one `(variant, "tag")` table in both
+//! directions. A message is then one field list per variant. The exact
+//! bytes of every variant are pinned, and the round-trip guarantee —
+//! `decode(encode(m)) == m` for every variant — is enforced by property
+//! tests, both in `tests/protocol_roundtrip.rs`.
 //!
 //! Requests may additionally carry an optional client-generated `req_id`
 //! envelope field ([`Request::encode_tagged`] /
@@ -60,35 +65,6 @@ pub enum ErrorKind {
     Fenced,
 }
 
-impl ErrorKind {
-    fn wire(self) -> &'static str {
-        match self {
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::UnknownSession => "unknown_session",
-            ErrorKind::SessionExists => "session_exists",
-            ErrorKind::Spec => "spec",
-            ErrorKind::Engine => "engine",
-            ErrorKind::Internal => "internal",
-            ErrorKind::Standby => "standby",
-            ErrorKind::Fenced => "fenced",
-        }
-    }
-
-    fn from_wire(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "protocol" => ErrorKind::Protocol,
-            "unknown_session" => ErrorKind::UnknownSession,
-            "session_exists" => ErrorKind::SessionExists,
-            "spec" => ErrorKind::Spec,
-            "engine" => ErrorKind::Engine,
-            "internal" => ErrorKind::Internal,
-            "standby" => ErrorKind::Standby,
-            "fenced" => ErrorKind::Fenced,
-            _ => return None,
-        })
-    }
-}
-
 /// A typed service failure, sent on the wire as the `error` response and
 /// raised locally by the [`SessionManager`](crate::manager::SessionManager).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +106,7 @@ impl ServiceError {
 
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} error: {}", self.kind.wire(), self.message)?;
+        write!(f, "{} error: {}", self.kind.tag(), self.message)?;
         if let Some(primary) = &self.primary {
             write!(f, " (current primary: {primary})")?;
         }
@@ -201,32 +177,6 @@ impl BudgetEnvelope {
     pub fn is_empty(&self) -> bool {
         self.deadline_ms.is_none() && self.max_trials.is_none()
     }
-}
-
-fn push_budget(pairs: &mut Vec<(&str, Value)>, budget: &BudgetEnvelope) {
-    if budget.is_empty() {
-        return;
-    }
-    let mut inner = Vec::new();
-    push_opt_u64(&mut inner, "deadline_ms", budget.deadline_ms);
-    push_opt_u64(&mut inner, "max_trials", budget.max_trials);
-    pairs.push(("budget", obj(inner)));
-}
-
-/// Decodes the budget envelope: the nested `"budget"` object when
-/// present, else the legacy flat `deadline_ms` / `max_trials` fields.
-fn budget_from_value(v: &Value) -> Result<BudgetEnvelope, ServiceError> {
-    let carrier = match v.get("budget") {
-        Some(Value::Null) | None => v,
-        Some(nested @ Value::Obj(_)) => nested,
-        Some(_) => {
-            return Err(ServiceError::protocol("field \"budget\" must be an object"));
-        }
-    };
-    Ok(BudgetEnvelope {
-        deadline_ms: opt_field(carrier, "deadline_ms", u64_field)?,
-        max_trials: opt_field(carrier, "max_trials", u64_field)?,
-    })
 }
 
 /// Parameters of an `explore` request; the budget reuses the core
@@ -705,181 +655,364 @@ pub enum Response {
     Error(ServiceError),
 }
 
-fn heuristic_wire(h: Heuristic) -> &'static str {
-    match h {
-        Heuristic::Enumeration => "E",
-        Heuristic::Iterative => "I",
+// ---- the field codec -------------------------------------------------
+
+/// How one Rust type maps to a JSON value and back. A decode error
+/// completes the sentence `field "k" …` — `must be a string`, `items must
+/// be …` — so [`req`] can name the field that carried it.
+trait Wire: Sized {
+    fn to_wire(&self) -> Value;
+    fn from_wire(v: &Value) -> Result<Self, String>;
+}
+
+/// A tag enum: one `(variant, "tag")` row per variant, read by both
+/// directions.
+trait Tagged: Copy + PartialEq + 'static {
+    const TAGS: &'static [(Self, &'static str)];
+
+    fn tag(self) -> &'static str {
+        let row = Self::TAGS.iter().find(|(variant, _)| *variant == self);
+        row.expect("every variant has a wire tag").1
     }
 }
 
-fn heuristic_from_wire(tag: &str) -> Option<Heuristic> {
-    match tag {
-        "E" => Some(Heuristic::Enumeration),
-        "I" => Some(Heuristic::Iterative),
-        _ => None,
+impl<T: Tagged> Wire for T {
+    fn to_wire(&self) -> Value {
+        Value::Str(self.tag().to_owned())
     }
-}
 
-fn move_kind_wire(k: MoveKind) -> &'static str {
-    match k {
-        MoveKind::Gain => "gain",
-        MoveKind::Kick => "kick",
-    }
-}
-
-fn move_kind_from_wire(tag: &str) -> Option<MoveKind> {
-    match tag {
-        "gain" => Some(MoveKind::Gain),
-        "kick" => Some(MoveKind::Kick),
-        _ => None,
-    }
-}
-
-fn completion_wire(c: Completion) -> &'static str {
-    match c {
-        Completion::Complete => "complete",
-        Completion::TruncatedDeadline => "truncated_deadline",
-        Completion::TruncatedTrials => "truncated_trials",
-        Completion::DegradedToIterative => "degraded_to_iterative",
-    }
-}
-
-fn completion_from_wire(tag: &str) -> Option<Completion> {
-    match tag {
-        "complete" => Some(Completion::Complete),
-        "truncated_deadline" => Some(Completion::TruncatedDeadline),
-        "truncated_trials" => Some(Completion::TruncatedTrials),
-        "degraded_to_iterative" => Some(Completion::DegradedToIterative),
-        _ => None,
-    }
-}
-
-// ---- field accessors -------------------------------------------------
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ServiceError> {
-    v.get(key).ok_or_else(|| ServiceError::protocol(format!("missing field {key:?}")))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, ServiceError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a string")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, ServiceError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an integer")))
-}
-
-fn str_array(v: &Value, key: &str) -> Result<Vec<String>, ServiceError> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an array")))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ServiceError::protocol(format!("{key} items must be strings")))
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        let tag = v.as_str().ok_or("must be a string")?;
+        let row = Self::TAGS.iter().find(|(_, t)| *t == tag);
+        row.map(|(variant, _)| *variant).ok_or_else(|| {
+            let tags: Vec<_> = Self::TAGS.iter().map(|(_, t)| t).collect();
+            format!("must be one of {tags:?}, not {tag:?}")
         })
-        .collect()
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, ServiceError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a number")))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, ServiceError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a boolean")))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, ServiceError> {
-    u32::try_from(u64_field(v, key)?)
-        .map_err(|_| ServiceError::protocol(format!("field {key:?} out of u32 range")))
-}
-
-/// `Some(x)` if `key` is present and non-null, mapped through `get`.
-fn opt_field<T>(
-    v: &Value,
-    key: &str,
-    get: impl Fn(&Value, &str) -> Result<T, ServiceError>,
-) -> Result<Option<T>, ServiceError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(_) => get(v, key).map(Some),
     }
 }
 
-/// One non-negative integer in u32 range, out of an array element.
-fn u32_item(v: &Value) -> Result<u32, ServiceError> {
-    v.as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| ServiceError::protocol("array items must be u32 integers"))
+impl Tagged for Heuristic {
+    const TAGS: &'static [(Self, &'static str)] =
+        &[(Heuristic::Enumeration, "E"), (Heuristic::Iterative, "I")];
 }
 
-/// An array of u32s under `key`, `None` when absent.
-fn u32_array(v: &Value, key: &str) -> Result<Option<Vec<u32>>, ServiceError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(arr) => arr
-            .as_arr()
-            .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an array")))?
-            .iter()
-            .map(u32_item)
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
+impl Tagged for MoveKind {
+    const TAGS: &'static [(Self, &'static str)] =
+        &[(MoveKind::Gain, "gain"), (MoveKind::Kick, "kick")];
+}
+
+impl Tagged for Completion {
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (Completion::Complete, "complete"),
+        (Completion::TruncatedDeadline, "truncated_deadline"),
+        (Completion::TruncatedTrials, "truncated_trials"),
+        (Completion::DegradedToIterative, "degraded_to_iterative"),
+    ];
+}
+
+impl Tagged for ErrorKind {
+    const TAGS: &'static [(Self, &'static str)] = &[
+        (ErrorKind::Protocol, "protocol"),
+        (ErrorKind::UnknownSession, "unknown_session"),
+        (ErrorKind::SessionExists, "session_exists"),
+        (ErrorKind::Spec, "spec"),
+        (ErrorKind::Engine, "engine"),
+        (ErrorKind::Internal, "internal"),
+        (ErrorKind::Standby, "standby"),
+        (ErrorKind::Fenced, "fenced"),
+    ];
+}
+
+/// `role_change` roles, keyed by the request's `(primary, fenced)` flags.
+impl Tagged for (bool, bool) {
+    const TAGS: &'static [(Self, &'static str)] =
+        &[((true, false), "primary"), ((false, false), "standby"), ((false, true), "fenced")];
+}
+
+impl Wire for String {
+    fn to_wire(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        v.as_str().map(str::to_owned).ok_or_else(|| "must be a string".into())
     }
 }
 
-/// A nested array value as a list of u32s.
-fn u32_items(v: &Value) -> Result<Vec<u32>, ServiceError> {
-    v.as_arr()
-        .ok_or_else(|| ServiceError::protocol("expected a nested array of integers"))?
-        .iter()
-        .map(u32_item)
-        .collect()
-}
-
-/// A two-element `[a, b]` array value as a u32 pair.
-fn u32_pair(v: &Value) -> Result<(u32, u32), ServiceError> {
-    let items = u32_items(v)?;
-    let [a, b] = items[..] else {
-        return Err(ServiceError::protocol("expected a two-element [a, b] integer pair"));
-    };
-    Ok((a, b))
-}
-
-fn push_opt_u64(pairs: &mut Vec<(&str, Value)>, key: &'static str, v: Option<u64>) {
-    if let Some(n) = v {
+impl Wire for u64 {
+    fn to_wire(&self) -> Value {
         #[allow(clippy::cast_precision_loss)]
-        pairs.push((key, Value::Num(n as f64)));
+        Value::Num(*self as f64)
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        v.as_u64().ok_or_else(|| "must be an integer".into())
     }
 }
 
-fn envelope(kind: &str, mut rest: Vec<(&str, Value)>) -> Value {
-    #[allow(clippy::cast_precision_loss)]
-    let mut pairs =
-        vec![("v", Value::Num(PROTOCOL_VERSION as f64)), ("type", Value::Str(kind.into()))];
-    pairs.append(&mut rest);
-    obj(pairs)
+impl Wire for u32 {
+    fn to_wire(&self) -> Value {
+        Value::Num(f64::from(*self))
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        let n = v.as_u64().and_then(|n| u32::try_from(n).ok());
+        n.ok_or_else(|| "must be an integer in u32 range".into())
+    }
+}
+
+impl Wire for f64 {
+    fn to_wire(&self) -> Value {
+        Value::Num(*self)
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "must be a number".into())
+    }
+}
+
+impl Wire for bool {
+    fn to_wire(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "must be a boolean".into())
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_wire(&self) -> Value {
+        Value::Arr(self.iter().map(Wire::to_wire).collect())
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("must be an array")?;
+        items.iter().map(|item| T::from_wire(item).map_err(|e| format!("items {e}"))).collect()
+    }
+}
+
+/// `null` for `None`. Only `stats.last_run` is written this way; other
+/// optional fields are omitted instead ([`put_some`]).
+impl<T: Wire> Wire for Option<T> {
+    fn to_wire(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Wire::to_wire)
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_wire(v).map(Some),
+        }
+    }
+}
+
+/// An `[a, b]` index pair: a move or an exclusion.
+impl Wire for (u32, u32) {
+    fn to_wire(&self) -> Value {
+        Value::Arr(vec![self.0.to_wire(), self.1.to_wire()])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((u32::from_wire(a)?, u32::from_wire(b)?)),
+            _ => Err("must be an [a, b] pair".into()),
+        }
+    }
+}
+
+/// Field `key` of the object `v`.
+fn req<T: Wire>(v: &Value, key: &str) -> Result<T, String> {
+    let item = v.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    T::from_wire(item).map_err(|e| format!("field {key:?} {e}"))
+}
+
+/// Field `key` of the object `v`, `None` when absent or `null`.
+fn opt<T: Wire>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(_) => req(v, key),
+    }
+}
+
+/// One encoded object field; `None` leaves it out.
+type Field = Option<(&'static str, Value)>;
+
+/// Field `key`, always written.
+fn put<T: Wire>(key: &'static str, value: &T) -> Field {
+    Some((key, value.to_wire()))
+}
+
+/// Field `key`, written only when `keep` holds (non-empty lists and
+/// budgets, a pong's epoch beside its role).
+fn put_if<T: Wire>(keep: bool, key: &'static str, value: &T) -> Field {
+    keep.then(|| (key, value.to_wire()))
+}
+
+/// Field `key`, omitted (not `null`) when `value` is `None`.
+fn put_some<T: Wire>(key: &'static str, value: &Option<T>) -> Field {
+    value.as_ref().and_then(|value| put(key, value))
+}
+
+fn object(fields: impl IntoIterator<Item = Field>) -> Value {
+    obj(fields.into_iter().flatten().collect())
+}
+
+fn envelope(kind: &str, fields: Vec<Field>) -> Value {
+    let head = [put("v", &PROTOCOL_VERSION), Some(("type", Value::Str(kind.to_owned())))];
+    object(head.into_iter().chain(fields))
 }
 
 /// Parses and checks the `"v"` / `"type"` envelope, returning the type tag.
 fn open_envelope(line: &str) -> Result<(Value, String), ServiceError> {
     let v = json::parse(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
-    let version = u64_field(&v, "v")?;
+    let version: u64 = req(&v, "v").map_err(ServiceError::protocol)?;
     if version != PROTOCOL_VERSION {
         return Err(ServiceError::protocol(format!(
             "protocol version {version} not supported (this server speaks {PROTOCOL_VERSION})"
         )));
     }
-    let kind = str_field(&v, "type")?;
+    let kind = req(&v, "type").map_err(ServiceError::protocol)?;
     Ok((v, kind))
+}
+
+impl Wire for BudgetEnvelope {
+    fn to_wire(&self) -> Value {
+        object([
+            put_some("deadline_ms", &self.deadline_ms),
+            put_some("max_trials", &self.max_trials),
+        ])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        if !matches!(v, Value::Obj(_)) {
+            return Err("must be an object".into());
+        }
+        Ok(Self { deadline_ms: opt(v, "deadline_ms")?, max_trials: opt(v, "max_trials")? })
+    }
+}
+
+/// The budget of request `v`: its nested `"budget"` object when present,
+/// else the legacy flat `deadline_ms` / `max_trials` fields beside it.
+fn budget(v: &Value) -> Result<BudgetEnvelope, String> {
+    match opt(v, "budget")? {
+        Some(budget) => Ok(budget),
+        None => BudgetEnvelope::from_wire(v),
+    }
+}
+
+impl Wire for RunSummary {
+    fn to_wire(&self) -> Value {
+        object([
+            put("heuristic", &self.heuristic),
+            put("digest", &self.digest),
+            put("trials", &self.trials),
+            put("feasible_trials", &self.feasible_trials),
+            put("feasible", &self.feasible),
+            put("completion", &self.completion),
+            put("degraded", &self.degraded),
+            put("elapsed_ms", &self.elapsed_ms),
+            put("predictor_calls", &self.predictor_calls),
+            put("cache_hits", &self.cache_hits),
+            put("cache_misses", &self.cache_misses),
+            put("subtrees_skipped", &self.subtrees_skipped),
+            put("combinations_skipped", &self.combinations_skipped),
+        ])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            heuristic: req(v, "heuristic")?,
+            digest: req(v, "digest")?,
+            trials: req(v, "trials")?,
+            feasible_trials: req(v, "feasible_trials")?,
+            feasible: req(v, "feasible")?,
+            completion: req(v, "completion")?,
+            degraded: req(v, "degraded")?,
+            elapsed_ms: req(v, "elapsed_ms")?,
+            predictor_calls: req(v, "predictor_calls")?,
+            cache_hits: req(v, "cache_hits")?,
+            cache_misses: req(v, "cache_misses")?,
+            subtrees_skipped: req(v, "subtrees_skipped")?,
+            combinations_skipped: req(v, "combinations_skipped")?,
+        })
+    }
+}
+
+impl Wire for MoveSummary {
+    fn to_wire(&self) -> Value {
+        object([
+            put("nodes", &self.nodes),
+            put("from", &self.from),
+            put("to", &self.to),
+            put("pass", &self.pass),
+            put("kind", &self.kind),
+        ])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            nodes: req(v, "nodes")?,
+            from: req(v, "from")?,
+            to: req(v, "to")?,
+            pass: req(v, "pass")?,
+            kind: req(v, "kind")?,
+        })
+    }
+}
+
+impl Wire for OptimizeSummary {
+    fn to_wire(&self) -> Value {
+        object([
+            put("digest", &self.digest),
+            put("feasible", &self.feasible),
+            put("initial_score", &self.initial_score),
+            put("final_score", &self.final_score),
+            put("evaluations", &self.evaluations),
+            put("passes", &self.passes),
+            put("kicks", &self.kicks),
+            put("completion", &self.completion),
+            put("moves", &self.moves),
+            put("run", &self.run),
+        ])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            digest: req(v, "digest")?,
+            feasible: req(v, "feasible")?,
+            initial_score: req(v, "initial_score")?,
+            final_score: req(v, "final_score")?,
+            evaluations: req(v, "evaluations")?,
+            passes: req(v, "passes")?,
+            kicks: req(v, "kicks")?,
+            completion: req(v, "completion")?,
+            moves: req(v, "moves")?,
+            run: req(v, "run")?,
+        })
+    }
+}
+
+impl Wire for CacheStats {
+    fn to_wire(&self) -> Value {
+        object([
+            put("hits", &self.hits),
+            put("misses", &self.misses),
+            put("evictions", &self.evictions),
+            put("entries", &self.entries),
+            put("bytes", &self.bytes),
+        ])
+    }
+
+    fn from_wire(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            hits: req(v, "hits")?,
+            misses: req(v, "misses")?,
+            evictions: req(v, "evictions")?,
+            entries: req(v, "entries")?,
+            bytes: req(v, "bytes")?,
+        })
+    }
 }
 
 impl Request {
@@ -953,192 +1086,93 @@ impl Request {
     }
 
     fn encode_value(&self) -> Value {
-        #[allow(clippy::cast_precision_loss)]
-        let value = match self {
-            Request::Ping => envelope("ping", vec![]),
-            Request::Open { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("spec", Value::Str(params.spec.clone())),
-                    ("partitions", Value::Num(f64::from(params.partitions))),
-                ];
-                if let Some(chips) = params.chips {
-                    rest.push(("chips", Value::Num(f64::from(chips))));
-                }
-                rest.push(("package_pins", Value::Num(f64::from(params.package_pins))));
-                rest.push(("performance_ns", Value::Num(params.performance_ns)));
-                rest.push(("delay_ns", Value::Num(params.delay_ns)));
-                rest.push(("multi_cycle", Value::Bool(params.multi_cycle)));
-                envelope("open", rest)
-            }
-            Request::Explore { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("heuristic", Value::Str(heuristic_wire(params.heuristic).into())),
-                ];
-                push_budget(&mut rest, &params.budget);
-                push_opt_u64(&mut rest, "jobs", params.jobs.map(u64::from));
-                envelope("explore", rest)
-            }
-            Request::Repartition { session, node, to } => envelope(
-                "repartition",
+        let (kind, fields) = match self {
+            Request::Ping => ("ping", vec![]),
+            Request::Open { session, params: p } => (
+                "open",
                 vec![
-                    ("session", Value::Str(session.clone())),
-                    ("node", Value::Num(f64::from(*node))),
-                    ("to", Value::Num(f64::from(*to))),
+                    put("session", session),
+                    put("spec", &p.spec),
+                    put("partitions", &p.partitions),
+                    put_some("chips", &p.chips),
+                    put("package_pins", &p.package_pins),
+                    put("performance_ns", &p.performance_ns),
+                    put("delay_ns", &p.delay_ns),
+                    put("multi_cycle", &p.multi_cycle),
                 ],
             ),
-            Request::Optimize { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("seed", Value::Num(params.seed as f64)),
-                    ("heuristic", Value::Str(heuristic_wire(params.heuristic).into())),
-                ];
-                push_budget(&mut rest, &params.budget);
-                push_opt_u64(&mut rest, "kicks", params.kicks.map(u64::from));
-                push_opt_u64(&mut rest, "kick_moves", params.kick_moves.map(u64::from));
-                push_opt_u64(&mut rest, "jobs", params.jobs.map(u64::from));
-                if !params.pinned.is_empty() {
-                    rest.push((
-                        "pinned",
-                        Value::Arr(
-                            params.pinned.iter().map(|&n| Value::Num(f64::from(n))).collect(),
-                        ),
-                    ));
-                }
-                if !params.groups.is_empty() {
-                    rest.push((
-                        "groups",
-                        Value::Arr(
-                            params
-                                .groups
-                                .iter()
-                                .map(|g| {
-                                    Value::Arr(
-                                        g.iter().map(|&n| Value::Num(f64::from(n))).collect(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                if !params.exclusions.is_empty() {
-                    rest.push((
-                        "exclusions",
-                        Value::Arr(
-                            params
-                                .exclusions
-                                .iter()
-                                .map(|&(a, b)| {
-                                    Value::Arr(vec![
-                                        Value::Num(f64::from(a)),
-                                        Value::Num(f64::from(b)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                envelope("optimize", rest)
-            }
-            Request::ApplyMoves { session, moves } => envelope(
-                "apply_moves",
+            Request::Explore { session, params: p } => (
+                "explore",
                 vec![
-                    ("session", Value::Str(session.clone())),
-                    (
-                        "moves",
-                        Value::Arr(
-                            moves
-                                .iter()
-                                .map(|&(node, to)| {
-                                    Value::Arr(vec![
-                                        Value::Num(f64::from(node)),
-                                        Value::Num(f64::from(to)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    put("session", session),
+                    put("heuristic", &p.heuristic),
+                    put_if(!p.budget.is_empty(), "budget", &p.budget),
+                    put_some("jobs", &p.jobs),
                 ],
             ),
-            Request::SetConstraints { session, performance_ns, delay_ns } => envelope(
+            Request::Repartition { session, node, to } => {
+                ("repartition", vec![put("session", session), put("node", node), put("to", to)])
+            }
+            Request::Optimize { session, params: p } => (
+                "optimize",
+                vec![
+                    put("session", session),
+                    put("seed", &p.seed),
+                    put("heuristic", &p.heuristic),
+                    put_if(!p.budget.is_empty(), "budget", &p.budget),
+                    put_some("kicks", &p.kicks),
+                    put_some("kick_moves", &p.kick_moves),
+                    put_some("jobs", &p.jobs),
+                    put_if(!p.pinned.is_empty(), "pinned", &p.pinned),
+                    put_if(!p.groups.is_empty(), "groups", &p.groups),
+                    put_if(!p.exclusions.is_empty(), "exclusions", &p.exclusions),
+                ],
+            ),
+            Request::ApplyMoves { session, moves } => {
+                ("apply_moves", vec![put("session", session), put("moves", moves)])
+            }
+            Request::SetConstraints { session, performance_ns, delay_ns } => (
                 "set_constraints",
                 vec![
-                    ("session", Value::Str(session.clone())),
-                    ("performance_ns", Value::Num(*performance_ns)),
-                    ("delay_ns", Value::Num(*delay_ns)),
+                    put("session", session),
+                    put("performance_ns", performance_ns),
+                    put("delay_ns", delay_ns),
                 ],
             ),
-            Request::Stats { session } => {
-                let mut rest = vec![];
-                if let Some(s) = session {
-                    rest.push(("session", Value::Str(s.clone())));
-                }
-                envelope("stats", rest)
-            }
-            Request::Close { session } => {
-                envelope("close", vec![("session", Value::Str(session.clone()))])
-            }
-            Request::Shutdown => envelope("shutdown", vec![]),
-            Request::ReplApply { seq, record, epoch, primary } => {
-                let mut rest = vec![
-                    ("seq", Value::Num(*seq as f64)),
-                    ("record", Value::Str(record.clone())),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ];
-                if let Some(addr) = primary {
-                    rest.push(("primary", Value::Str(addr.clone())));
-                }
-                envelope("repl_apply", rest)
-            }
-            Request::ReplSnapshot { seq, records, epoch, primary } => {
-                let mut rest = vec![
-                    ("seq", Value::Num(*seq as f64)),
-                    (
-                        "records",
-                        Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                    ),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ];
-                if let Some(addr) = primary {
-                    rest.push(("primary", Value::Str(addr.clone())));
-                }
-                envelope("repl_snapshot", rest)
-            }
-            Request::Promote => envelope("promote", vec![]),
-            Request::RoleChange { epoch, primary, fenced } => {
-                let role = match (primary, fenced) {
-                    (true, _) => "primary",
-                    (false, true) => "fenced",
-                    (false, false) => "standby",
-                };
-                envelope(
-                    "role_change",
-                    vec![
-                        ("epoch", Value::Num(*epoch as f64)),
-                        ("role", Value::Str(role.into())),
-                    ],
-                )
-            }
-            Request::AddPair { pair } => {
-                envelope("add_pair", vec![("pair", Value::Str(pair.clone()))])
-            }
-            Request::RemovePair { pair } => {
-                envelope("remove_pair", vec![("pair", Value::Str(pair.clone()))])
-            }
-            Request::RouterStatus => envelope("router_status", vec![]),
-            Request::Export { session } => {
-                envelope("export", vec![("session", Value::Str(session.clone()))])
-            }
-            Request::Import { records } => envelope(
-                "import",
-                vec![(
-                    "records",
-                    Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                )],
+            Request::Stats { session } => ("stats", vec![put_some("session", session)]),
+            Request::Close { session } => ("close", vec![put("session", session)]),
+            Request::Shutdown => ("shutdown", vec![]),
+            Request::ReplApply { seq, record, epoch, primary } => (
+                "repl_apply",
+                vec![
+                    put("seq", seq),
+                    put("record", record),
+                    put("epoch", epoch),
+                    put_some("primary", primary),
+                ],
             ),
+            Request::ReplSnapshot { seq, records, epoch, primary } => (
+                "repl_snapshot",
+                vec![
+                    put("seq", seq),
+                    put("records", records),
+                    put("epoch", epoch),
+                    put_some("primary", primary),
+                ],
+            ),
+            Request::Promote => ("promote", vec![]),
+            // A promotion clears fencing, so `primary` wins over `fenced`.
+            Request::RoleChange { epoch, primary, fenced } => (
+                "role_change",
+                vec![put("epoch", epoch), put("role", &(*primary, *fenced && !*primary))],
+            ),
+            Request::AddPair { pair } => ("add_pair", vec![put("pair", pair)]),
+            Request::RemovePair { pair } => ("remove_pair", vec![put("pair", pair)]),
+            Request::RouterStatus => ("router_status", vec![]),
+            Request::Export { session } => ("export", vec![put("session", session)]),
+            Request::Import { records } => ("import", vec![put("records", records)]),
         };
-        value
+        envelope(kind, fields)
     }
 
     /// Decodes one request line.
@@ -1159,7 +1193,7 @@ impl Request {
     /// over-long (> [`MAX_REQ_ID_LEN`]) `req_id`.
     pub fn decode_tagged(line: &str) -> Result<(Self, Option<String>), ServiceError> {
         let (v, kind) = open_envelope(line)?;
-        let req_id = opt_field(&v, "req_id", str_field)?;
+        let req_id: Option<String> = opt(&v, "req_id").map_err(ServiceError::protocol)?;
         if let Some(id) = &req_id {
             if id.is_empty() || id.len() > MAX_REQ_ID_LEN {
                 return Err(ServiceError::protocol(format!(
@@ -1167,453 +1201,176 @@ impl Request {
                 )));
             }
         }
-        Ok((Self::decode_body(&v, &kind)?, req_id))
+        let request = Self::decode_body(&v, &kind).map_err(ServiceError::protocol)?;
+        Ok((request, req_id))
     }
 
-    fn decode_body(v: &Value, kind: &str) -> Result<Self, ServiceError> {
-        match kind {
-            "ping" => Ok(Request::Ping),
+    fn decode_body(v: &Value, kind: &str) -> Result<Self, String> {
+        Ok(match kind {
+            "ping" => Request::Ping,
             "open" => {
-                let defaults = OpenParams::default();
-                #[allow(clippy::cast_possible_truncation)]
+                let d = OpenParams::default();
                 let params = OpenParams {
-                    spec: str_field(v, "spec")?,
-                    partitions: opt_field(v, "partitions", u32_field)?
-                        .unwrap_or(defaults.partitions),
-                    chips: opt_field(v, "chips", u32_field)?,
-                    package_pins: opt_field(v, "package_pins", u32_field)?
-                        .unwrap_or(defaults.package_pins),
-                    performance_ns: opt_field(v, "performance_ns", f64_field)?
-                        .unwrap_or(defaults.performance_ns),
-                    delay_ns: opt_field(v, "delay_ns", f64_field)?.unwrap_or(defaults.delay_ns),
-                    multi_cycle: opt_field(v, "multi_cycle", bool_field)?
-                        .unwrap_or(defaults.multi_cycle),
+                    spec: req(v, "spec")?,
+                    partitions: opt(v, "partitions")?.unwrap_or(d.partitions),
+                    chips: opt(v, "chips")?,
+                    package_pins: opt(v, "package_pins")?.unwrap_or(d.package_pins),
+                    performance_ns: opt(v, "performance_ns")?.unwrap_or(d.performance_ns),
+                    delay_ns: opt(v, "delay_ns")?.unwrap_or(d.delay_ns),
+                    multi_cycle: opt(v, "multi_cycle")?.unwrap_or(d.multi_cycle),
                 };
-                Ok(Request::Open { session: str_field(v, "session")?, params })
+                Request::Open { session: req(v, "session")?, params }
             }
             "explore" => {
-                let heuristic = match opt_field(v, "heuristic", str_field)? {
-                    None => Heuristic::Iterative,
-                    Some(tag) => heuristic_from_wire(&tag).ok_or_else(|| {
-                        ServiceError::protocol(format!("unknown heuristic {tag:?}"))
-                    })?,
-                };
                 let params = ExploreParams {
-                    heuristic,
-                    budget: budget_from_value(v)?,
-                    jobs: opt_field(v, "jobs", u32_field)?,
+                    heuristic: opt(v, "heuristic")?
+                        .unwrap_or(ExploreParams::default().heuristic),
+                    budget: budget(v)?,
+                    jobs: opt(v, "jobs")?,
                 };
-                Ok(Request::Explore { session: str_field(v, "session")?, params })
+                Request::Explore { session: req(v, "session")?, params }
             }
-            "repartition" => Ok(Request::Repartition {
-                session: str_field(v, "session")?,
-                node: u32_field(v, "node")?,
-                to: u32_field(v, "to")?,
-            }),
+            "repartition" => Request::Repartition {
+                session: req(v, "session")?,
+                node: req(v, "node")?,
+                to: req(v, "to")?,
+            },
             "optimize" => {
-                let heuristic = match opt_field(v, "heuristic", str_field)? {
-                    None => Heuristic::Iterative,
-                    Some(tag) => heuristic_from_wire(&tag).ok_or_else(|| {
-                        ServiceError::protocol(format!("unknown heuristic {tag:?}"))
-                    })?,
-                };
+                let d = OptimizeParams::default();
                 let params = OptimizeParams {
-                    seed: opt_field(v, "seed", u64_field)?.unwrap_or(0),
-                    budget: budget_from_value(v)?,
-                    heuristic,
-                    kicks: opt_field(v, "kicks", u32_field)?,
-                    kick_moves: opt_field(v, "kick_moves", u32_field)?,
-                    jobs: opt_field(v, "jobs", u32_field)?,
-                    pinned: u32_array(v, "pinned")?.unwrap_or_default(),
-                    groups: match v.get("groups") {
-                        None | Some(Value::Null) => Vec::new(),
-                        Some(groups) => groups
-                            .as_arr()
-                            .ok_or_else(|| {
-                                ServiceError::protocol("field \"groups\" must be an array")
-                            })?
-                            .iter()
-                            .map(u32_items)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
-                    exclusions: match v.get("exclusions") {
-                        None | Some(Value::Null) => Vec::new(),
-                        Some(pairs) => pairs
-                            .as_arr()
-                            .ok_or_else(|| {
-                                ServiceError::protocol("field \"exclusions\" must be an array")
-                            })?
-                            .iter()
-                            .map(u32_pair)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
+                    seed: opt(v, "seed")?.unwrap_or(d.seed),
+                    budget: budget(v)?,
+                    heuristic: opt(v, "heuristic")?.unwrap_or(d.heuristic),
+                    kicks: opt(v, "kicks")?,
+                    kick_moves: opt(v, "kick_moves")?,
+                    jobs: opt(v, "jobs")?,
+                    pinned: opt(v, "pinned")?.unwrap_or_default(),
+                    groups: opt(v, "groups")?.unwrap_or_default(),
+                    exclusions: opt(v, "exclusions")?.unwrap_or_default(),
                 };
-                Ok(Request::Optimize { session: str_field(v, "session")?, params })
+                Request::Optimize { session: req(v, "session")?, params }
             }
             "apply_moves" => {
-                let moves = field(v, "moves")?
-                    .as_arr()
-                    .ok_or_else(|| ServiceError::protocol("field \"moves\" must be an array"))?
-                    .iter()
-                    .map(u32_pair)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::ApplyMoves { session: str_field(v, "session")?, moves })
+                Request::ApplyMoves { session: req(v, "session")?, moves: req(v, "moves")? }
             }
-            "set_constraints" => Ok(Request::SetConstraints {
-                session: str_field(v, "session")?,
-                performance_ns: f64_field(v, "performance_ns")?,
-                delay_ns: f64_field(v, "delay_ns")?,
-            }),
-            "stats" => Ok(Request::Stats { session: opt_field(v, "session", str_field)? }),
-            "close" => Ok(Request::Close { session: str_field(v, "session")? }),
-            "shutdown" => Ok(Request::Shutdown),
-            "repl_apply" => Ok(Request::ReplApply {
-                seq: u64_field(v, "seq")?,
-                record: str_field(v, "record")?,
-                // Pre-epoch senders omit both fields.
-                epoch: opt_field(v, "epoch", u64_field)?.unwrap_or(0),
-                primary: opt_field(v, "primary", str_field)?,
-            }),
-            "repl_snapshot" => {
-                let records = field(v, "records")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"records\" must be an array")
-                    })?
-                    .iter()
-                    .map(|r| {
-                        r.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("snapshot records must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::ReplSnapshot {
-                    seq: u64_field(v, "seq")?,
-                    records,
-                    epoch: opt_field(v, "epoch", u64_field)?.unwrap_or(0),
-                    primary: opt_field(v, "primary", str_field)?,
-                })
-            }
-            "promote" => Ok(Request::Promote),
+            "set_constraints" => Request::SetConstraints {
+                session: req(v, "session")?,
+                performance_ns: req(v, "performance_ns")?,
+                delay_ns: req(v, "delay_ns")?,
+            },
+            "stats" => Request::Stats { session: opt(v, "session")? },
+            "close" => Request::Close { session: req(v, "session")? },
+            "shutdown" => Request::Shutdown,
+            // Pre-epoch senders omit `epoch` and `primary`.
+            "repl_apply" => Request::ReplApply {
+                seq: req(v, "seq")?,
+                record: req(v, "record")?,
+                epoch: opt(v, "epoch")?.unwrap_or(0),
+                primary: opt(v, "primary")?,
+            },
+            "repl_snapshot" => Request::ReplSnapshot {
+                seq: req(v, "seq")?,
+                records: req(v, "records")?,
+                epoch: opt(v, "epoch")?.unwrap_or(0),
+                primary: opt(v, "primary")?,
+            },
+            "promote" => Request::Promote,
             "role_change" => {
-                let role = str_field(v, "role")?;
-                let (primary, fenced) = match role.as_str() {
-                    "primary" => (true, false),
-                    "standby" => (false, false),
-                    "fenced" => (false, true),
-                    other => {
-                        return Err(ServiceError::protocol(format!("unknown role {other:?}")))
-                    }
-                };
-                Ok(Request::RoleChange { epoch: u64_field(v, "epoch")?, primary, fenced })
+                let (primary, fenced) = req(v, "role")?;
+                Request::RoleChange { epoch: req(v, "epoch")?, primary, fenced }
             }
-            "add_pair" => Ok(Request::AddPair { pair: str_field(v, "pair")? }),
-            "remove_pair" => Ok(Request::RemovePair { pair: str_field(v, "pair")? }),
-            "router_status" => Ok(Request::RouterStatus),
-            "export" => Ok(Request::Export { session: str_field(v, "session")? }),
-            "import" => {
-                let records = field(v, "records")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"records\" must be an array")
-                    })?
-                    .iter()
-                    .map(|r| {
-                        r.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("import records must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Import { records })
-            }
-            other => Err(ServiceError::protocol(format!("unknown request type {other:?}"))),
-        }
+            "add_pair" => Request::AddPair { pair: req(v, "pair")? },
+            "remove_pair" => Request::RemovePair { pair: req(v, "pair")? },
+            "router_status" => Request::RouterStatus,
+            "export" => Request::Export { session: req(v, "session")? },
+            "import" => Request::Import { records: req(v, "records")? },
+            other => return Err(format!("unknown request type {other:?}")),
+        })
     }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn run_to_value(run: &RunSummary) -> Value {
-    obj(vec![
-        ("heuristic", Value::Str(heuristic_wire(run.heuristic).into())),
-        ("digest", Value::Str(run.digest.clone())),
-        ("trials", Value::Num(run.trials as f64)),
-        ("feasible_trials", Value::Num(run.feasible_trials as f64)),
-        ("feasible", Value::Num(run.feasible as f64)),
-        ("completion", Value::Str(completion_wire(run.completion).into())),
-        ("degraded", Value::Bool(run.degraded)),
-        ("elapsed_ms", Value::Num(run.elapsed_ms)),
-        ("predictor_calls", Value::Num(run.predictor_calls as f64)),
-        ("cache_hits", Value::Num(run.cache_hits as f64)),
-        ("cache_misses", Value::Num(run.cache_misses as f64)),
-        ("subtrees_skipped", Value::Num(run.subtrees_skipped as f64)),
-        ("combinations_skipped", Value::Num(run.combinations_skipped as f64)),
-    ])
-}
-
-fn run_from_value(v: &Value) -> Result<RunSummary, ServiceError> {
-    let tag = str_field(v, "heuristic")?;
-    let heuristic = heuristic_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown heuristic {tag:?}")))?;
-    let tag = str_field(v, "completion")?;
-    let completion = completion_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown completion {tag:?}")))?;
-    Ok(RunSummary {
-        heuristic,
-        digest: str_field(v, "digest")?,
-        trials: u64_field(v, "trials")?,
-        feasible_trials: u64_field(v, "feasible_trials")?,
-        feasible: u64_field(v, "feasible")?,
-        completion,
-        degraded: bool_field(v, "degraded")?,
-        elapsed_ms: f64_field(v, "elapsed_ms")?,
-        predictor_calls: u64_field(v, "predictor_calls")?,
-        cache_hits: u64_field(v, "cache_hits")?,
-        cache_misses: u64_field(v, "cache_misses")?,
-        subtrees_skipped: u64_field(v, "subtrees_skipped")?,
-        combinations_skipped: u64_field(v, "combinations_skipped")?,
-    })
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn optimize_to_value(result: &OptimizeSummary) -> Value {
-    let moves = result
-        .moves
-        .iter()
-        .map(|m| {
-            obj(vec![
-                (
-                    "nodes",
-                    Value::Arr(m.nodes.iter().map(|&n| Value::Num(f64::from(n))).collect()),
-                ),
-                ("from", Value::Num(f64::from(m.from))),
-                ("to", Value::Num(f64::from(m.to))),
-                ("pass", Value::Num(f64::from(m.pass))),
-                ("kind", Value::Str(move_kind_wire(m.kind).into())),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("digest", Value::Str(result.digest.clone())),
-        ("feasible", Value::Bool(result.feasible)),
-        ("initial_score", Value::Num(result.initial_score)),
-        ("final_score", Value::Num(result.final_score)),
-        ("evaluations", Value::Num(result.evaluations as f64)),
-        ("passes", Value::Num(f64::from(result.passes))),
-        ("kicks", Value::Num(f64::from(result.kicks))),
-        ("completion", Value::Str(completion_wire(result.completion).into())),
-        ("moves", Value::Arr(moves)),
-        ("run", run_to_value(&result.run)),
-    ])
-}
-
-fn optimize_from_value(v: &Value) -> Result<OptimizeSummary, ServiceError> {
-    let tag = str_field(v, "completion")?;
-    let completion = completion_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown completion {tag:?}")))?;
-    let moves = field(v, "moves")?
-        .as_arr()
-        .ok_or_else(|| ServiceError::protocol("field \"moves\" must be an array"))?
-        .iter()
-        .map(|m| {
-            let tag = str_field(m, "kind")?;
-            let kind = move_kind_from_wire(&tag)
-                .ok_or_else(|| ServiceError::protocol(format!("unknown move kind {tag:?}")))?;
-            Ok(MoveSummary {
-                nodes: u32_array(m, "nodes")?.ok_or_else(|| {
-                    ServiceError::protocol("move records need a \"nodes\" array")
-                })?,
-                from: u32_field(m, "from")?,
-                to: u32_field(m, "to")?,
-                pass: u32_field(m, "pass")?,
-                kind,
-            })
-        })
-        .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(OptimizeSummary {
-        digest: str_field(v, "digest")?,
-        feasible: bool_field(v, "feasible")?,
-        initial_score: f64_field(v, "initial_score")?,
-        final_score: f64_field(v, "final_score")?,
-        evaluations: u64_field(v, "evaluations")?,
-        passes: u32_field(v, "passes")?,
-        kicks: u32_field(v, "kicks")?,
-        completion,
-        moves,
-        run: run_from_value(field(v, "run")?)?,
-    })
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn cache_to_value(c: &CacheStats) -> Value {
-    obj(vec![
-        ("hits", Value::Num(c.hits as f64)),
-        ("misses", Value::Num(c.misses as f64)),
-        ("evictions", Value::Num(c.evictions as f64)),
-        ("entries", Value::Num(c.entries as f64)),
-        ("bytes", Value::Num(c.bytes as f64)),
-    ])
-}
-
-fn cache_from_value(v: &Value) -> Result<CacheStats, ServiceError> {
-    Ok(CacheStats {
-        hits: u64_field(v, "hits")?,
-        misses: u64_field(v, "misses")?,
-        evictions: u64_field(v, "evictions")?,
-        entries: u64_field(v, "entries")?,
-        bytes: u64_field(v, "bytes")?,
-    })
 }
 
 impl Response {
     /// Encodes this response as one line of JSON (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        #[allow(clippy::cast_precision_loss)]
-        let value = match self {
-            Response::Pong { version, role, epoch, peer } => {
-                let mut rest = vec![("version", Value::Num(*version as f64))];
-                if let Some(role) = role {
-                    rest.push(("role", Value::Str(role.clone())));
-                    rest.push(("epoch", Value::Num(*epoch as f64)));
-                }
-                if let Some(peer) = peer {
-                    rest.push(("peer", Value::Str(peer.clone())));
-                }
-                envelope("pong", rest)
+        let (kind, fields) = match self {
+            // Routers and pre-epoch servers send no role, and then no epoch.
+            Response::Pong { version, role, epoch, peer } => (
+                "pong",
+                vec![
+                    put("version", version),
+                    put_some("role", role),
+                    put_if(role.is_some(), "epoch", epoch),
+                    put_some("peer", peer),
+                ],
+            ),
+            Response::Opened { session, partitions } => {
+                ("opened", vec![put("session", session), put("partitions", partitions)])
             }
-            Response::Opened { session, partitions } => envelope(
-                "opened",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("partitions", Value::Num(*partitions as f64)),
-                ],
-            ),
-            Response::Explored { session, run } => envelope(
-                "explored",
-                vec![("session", Value::Str(session.clone())), ("run", run_to_value(run))],
-            ),
-            Response::Repartitioned { session, node, to } => envelope(
+            Response::Explored { session, run } => {
+                ("explored", vec![put("session", session), put("run", run)])
+            }
+            Response::Repartitioned { session, node, to } => (
                 "repartitioned",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("node", Value::Num(f64::from(*node))),
-                    ("to", Value::Num(f64::from(*to))),
-                ],
+                vec![put("session", session), put("node", node), put("to", to)],
             ),
-            Response::Optimized { session, result } => envelope(
-                "optimized",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("result", optimize_to_value(result)),
-                ],
-            ),
-            Response::MovesApplied { session, moves } => envelope(
-                "moves_applied",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("moves", Value::Num(*moves as f64)),
-                ],
-            ),
-            Response::ConstraintsSet { session, performance_ns, delay_ns } => envelope(
+            Response::Optimized { session, result } => {
+                ("optimized", vec![put("session", session), put("result", &**result)])
+            }
+            Response::MovesApplied { session, moves } => {
+                ("moves_applied", vec![put("session", session), put("moves", moves)])
+            }
+            Response::ConstraintsSet { session, performance_ns, delay_ns } => (
                 "constraints_set",
                 vec![
-                    ("session", Value::Str(session.clone())),
-                    ("performance_ns", Value::Num(*performance_ns)),
-                    ("delay_ns", Value::Num(*delay_ns)),
+                    put("session", session),
+                    put("performance_ns", performance_ns),
+                    put("delay_ns", delay_ns),
                 ],
             ),
-            Response::Stats { sessions, cache, shard_entries, last_run } => envelope(
+            Response::Stats { sessions, cache, shard_entries, last_run } => (
                 "stats",
                 vec![
-                    (
-                        "sessions",
-                        Value::Arr(sessions.iter().map(|s| Value::Str(s.clone())).collect()),
-                    ),
-                    ("cache", cache_to_value(cache)),
-                    (
-                        "shard_entries",
-                        Value::Arr(
-                            shard_entries.iter().map(|&n| Value::Num(n as f64)).collect(),
-                        ),
-                    ),
-                    ("last_run", last_run.as_ref().map_or(Value::Null, run_to_value)),
+                    put("sessions", sessions),
+                    put("cache", cache),
+                    put("shard_entries", shard_entries),
+                    put("last_run", last_run),
                 ],
             ),
-            Response::Closed { session } => {
-                envelope("closed", vec![("session", Value::Str(session.clone()))])
+            Response::Closed { session } => ("closed", vec![put("session", session)]),
+            Response::ShuttingDown => ("shutting_down", vec![]),
+            Response::ReplAck { seq } => ("repl_ack", vec![put("seq", seq)]),
+            Response::Promoted { sessions, epoch } => {
+                ("promoted", vec![put("sessions", sessions), put("epoch", epoch)])
             }
-            Response::ShuttingDown => envelope("shutting_down", vec![]),
-            Response::ReplAck { seq } => {
-                envelope("repl_ack", vec![("seq", Value::Num(*seq as f64))])
-            }
-            Response::Promoted { sessions, epoch } => envelope(
-                "promoted",
-                vec![
-                    ("sessions", Value::Num(*sessions as f64)),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ],
-            ),
-            Response::Busy { inflight, max_inflight, retry_after_ms } => envelope(
+            Response::Busy { inflight, max_inflight, retry_after_ms } => (
                 "busy",
                 vec![
-                    ("inflight", Value::Num(*inflight as f64)),
-                    ("max_inflight", Value::Num(*max_inflight as f64)),
-                    ("retry_after_ms", Value::Num(*retry_after_ms as f64)),
+                    put("inflight", inflight),
+                    put("max_inflight", max_inflight),
+                    put("retry_after_ms", retry_after_ms),
                 ],
             ),
-            Response::PairAdded { pairs } => envelope(
-                "pair_added",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::PairRemoved { pairs } => envelope(
-                "pair_removed",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::RouterStatus { pairs } => envelope(
-                "router_status",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::Exported { session, records } => envelope(
-                "exported",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    (
-                        "records",
-                        Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                    ),
-                ],
-            ),
-            Response::Imported { session, records } => envelope(
-                "imported",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("records", Value::Num(*records as f64)),
-                ],
-            ),
-            Response::Error(e) => {
-                let mut rest = vec![
-                    ("kind", Value::Str(e.kind.wire().into())),
-                    ("message", Value::Str(e.message.clone())),
-                ];
-                if let Some(primary) = &e.primary {
-                    rest.push(("primary", Value::Str(primary.clone())));
-                }
-                if let Some(epoch) = e.epoch {
-                    rest.push(("epoch", Value::Num(epoch as f64)));
-                }
-                envelope("error", rest)
+            Response::PairAdded { pairs } => ("pair_added", vec![put("pairs", pairs)]),
+            Response::PairRemoved { pairs } => ("pair_removed", vec![put("pairs", pairs)]),
+            Response::RouterStatus { pairs } => ("router_status", vec![put("pairs", pairs)]),
+            Response::Exported { session, records } => {
+                ("exported", vec![put("session", session), put("records", records)])
             }
+            Response::Imported { session, records } => {
+                ("imported", vec![put("session", session), put("records", records)])
+            }
+            Response::Error(e) => (
+                "error",
+                vec![
+                    put("kind", &e.kind),
+                    put("message", &e.message),
+                    put_some("primary", &e.primary),
+                    put_some("epoch", &e.epoch),
+                ],
+            ),
         };
-        value.to_string()
+        envelope(kind, fields).to_string()
     }
 
     /// Decodes one response line.
@@ -1624,118 +1381,81 @@ impl Response {
     /// version mismatch, an unknown type tag or mistyped fields.
     pub fn decode(line: &str) -> Result<Self, ServiceError> {
         let (v, kind) = open_envelope(line)?;
-        match kind.as_str() {
-            "pong" => Ok(Response::Pong {
-                version: u64_field(&v, "version")?,
-                // Routers and pre-epoch servers omit the role fields.
-                role: opt_field(&v, "role", str_field)?,
-                epoch: opt_field(&v, "epoch", u64_field)?.unwrap_or(0),
-                peer: opt_field(&v, "peer", str_field)?,
-            }),
-            "opened" => Ok(Response::Opened {
-                session: str_field(&v, "session")?,
-                partitions: u64_field(&v, "partitions")?,
-            }),
-            "explored" => Ok(Response::Explored {
-                session: str_field(&v, "session")?,
-                run: run_from_value(field(&v, "run")?)?,
-            }),
-            "repartitioned" => Ok(Response::Repartitioned {
-                session: str_field(&v, "session")?,
-                node: u32_field(&v, "node")?,
-                to: u32_field(&v, "to")?,
-            }),
-            "optimized" => Ok(Response::Optimized {
-                session: str_field(&v, "session")?,
-                result: Box::new(optimize_from_value(field(&v, "result")?)?),
-            }),
-            "moves_applied" => Ok(Response::MovesApplied {
-                session: str_field(&v, "session")?,
-                moves: u64_field(&v, "moves")?,
-            }),
-            "constraints_set" => Ok(Response::ConstraintsSet {
-                session: str_field(&v, "session")?,
-                performance_ns: f64_field(&v, "performance_ns")?,
-                delay_ns: f64_field(&v, "delay_ns")?,
-            }),
-            "stats" => {
-                let sessions = field(&v, "sessions")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"sessions\" must be an array")
-                    })?
-                    .iter()
-                    .map(|s| {
-                        s.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("session names must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let last_run = match v.get("last_run") {
-                    None | Some(Value::Null) => None,
-                    Some(run) => Some(run_from_value(run)?),
-                };
-                // Tolerant decode: servers that predate the sharded cache
-                // tier omit the field entirely.
-                let shard_entries = match v.get("shard_entries") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(arr) => arr
-                        .as_arr()
-                        .ok_or_else(|| {
-                            ServiceError::protocol("field \"shard_entries\" must be an array")
-                        })?
-                        .iter()
-                        .map(|n| {
-                            n.as_f64().map(|f| f as u64).ok_or_else(|| {
-                                ServiceError::protocol("shard entries must be numbers")
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                Ok(Response::Stats {
-                    sessions,
-                    cache: cache_from_value(field(&v, "cache")?)?,
-                    shard_entries,
-                    last_run,
-                })
+        Self::decode_body(&v, &kind).map_err(ServiceError::protocol)
+    }
+
+    fn decode_body(v: &Value, kind: &str) -> Result<Self, String> {
+        Ok(match kind {
+            // Routers and pre-epoch servers omit the role fields.
+            "pong" => Response::Pong {
+                version: req(v, "version")?,
+                role: opt(v, "role")?,
+                epoch: opt(v, "epoch")?.unwrap_or(0),
+                peer: opt(v, "peer")?,
+            },
+            "opened" => Response::Opened {
+                session: req(v, "session")?,
+                partitions: req(v, "partitions")?,
+            },
+            "explored" => {
+                Response::Explored { session: req(v, "session")?, run: req(v, "run")? }
             }
-            "closed" => Ok(Response::Closed { session: str_field(&v, "session")? }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "repl_ack" => Ok(Response::ReplAck { seq: u64_field(&v, "seq")? }),
-            "promoted" => Ok(Response::Promoted {
-                sessions: u64_field(&v, "sessions")?,
-                // Pre-epoch servers omit the field.
-                epoch: opt_field(&v, "epoch", u64_field)?.unwrap_or(0),
-            }),
-            "busy" => Ok(Response::Busy {
-                inflight: u64_field(&v, "inflight")?,
-                max_inflight: u64_field(&v, "max_inflight")?,
-                // Servers that predate the hint omit the field.
-                retry_after_ms: opt_field(&v, "retry_after_ms", u64_field)?.unwrap_or(0),
-            }),
-            "pair_added" => Ok(Response::PairAdded { pairs: str_array(&v, "pairs")? }),
-            "pair_removed" => Ok(Response::PairRemoved { pairs: str_array(&v, "pairs")? }),
-            "router_status" => Ok(Response::RouterStatus { pairs: str_array(&v, "pairs")? }),
-            "exported" => Ok(Response::Exported {
-                session: str_field(&v, "session")?,
-                records: str_array(&v, "records")?,
-            }),
-            "imported" => Ok(Response::Imported {
-                session: str_field(&v, "session")?,
-                records: u64_field(&v, "records")?,
-            }),
-            "error" => {
-                let tag = str_field(&v, "kind")?;
-                let kind = ErrorKind::from_wire(&tag).ok_or_else(|| {
-                    ServiceError::protocol(format!("unknown error kind {tag:?}"))
-                })?;
-                let mut error = ServiceError::new(kind, str_field(&v, "message")?);
-                error.primary = opt_field(&v, "primary", str_field)?;
-                error.epoch = opt_field(&v, "epoch", u64_field)?;
-                Ok(Response::Error(error))
+            "repartitioned" => Response::Repartitioned {
+                session: req(v, "session")?,
+                node: req(v, "node")?,
+                to: req(v, "to")?,
+            },
+            "optimized" => Response::Optimized {
+                session: req(v, "session")?,
+                result: Box::new(req(v, "result")?),
+            },
+            "moves_applied" => {
+                Response::MovesApplied { session: req(v, "session")?, moves: req(v, "moves")? }
             }
-            other => Err(ServiceError::protocol(format!("unknown response type {other:?}"))),
-        }
+            "constraints_set" => Response::ConstraintsSet {
+                session: req(v, "session")?,
+                performance_ns: req(v, "performance_ns")?,
+                delay_ns: req(v, "delay_ns")?,
+            },
+            // Servers that predate the sharded cache tier omit
+            // `shard_entries`.
+            "stats" => Response::Stats {
+                sessions: req(v, "sessions")?,
+                cache: req(v, "cache")?,
+                shard_entries: opt(v, "shard_entries")?.unwrap_or_default(),
+                last_run: opt(v, "last_run")?,
+            },
+            "closed" => Response::Closed { session: req(v, "session")? },
+            "shutting_down" => Response::ShuttingDown,
+            "repl_ack" => Response::ReplAck { seq: req(v, "seq")? },
+            // Pre-epoch servers omit the epoch.
+            "promoted" => Response::Promoted {
+                sessions: req(v, "sessions")?,
+                epoch: opt(v, "epoch")?.unwrap_or(0),
+            },
+            // Servers that predate the backoff hint omit it.
+            "busy" => Response::Busy {
+                inflight: req(v, "inflight")?,
+                max_inflight: req(v, "max_inflight")?,
+                retry_after_ms: opt(v, "retry_after_ms")?.unwrap_or(0),
+            },
+            "pair_added" => Response::PairAdded { pairs: req(v, "pairs")? },
+            "pair_removed" => Response::PairRemoved { pairs: req(v, "pairs")? },
+            "router_status" => Response::RouterStatus { pairs: req(v, "pairs")? },
+            "exported" => {
+                Response::Exported { session: req(v, "session")?, records: req(v, "records")? }
+            }
+            "imported" => {
+                Response::Imported { session: req(v, "session")?, records: req(v, "records")? }
+            }
+            "error" => Response::Error(ServiceError {
+                kind: req(v, "kind")?,
+                message: req(v, "message")?,
+                primary: opt(v, "primary")?,
+                epoch: opt(v, "epoch")?,
+            }),
+            other => return Err(format!("unknown response type {other:?}")),
+        })
     }
 }
 
@@ -2166,6 +1886,47 @@ mod tests {
         let decoded =
             Response::decode(r#"{"v":1,"type":"busy","inflight":3,"max_inflight":2}"#).unwrap();
         assert_eq!(decoded, Response::Busy { inflight: 3, max_inflight: 2, retry_after_ms: 0 });
+    }
+
+    #[test]
+    fn decode_errors_name_the_field() {
+        for (line, message) in [
+            (r#"{"v":1,"type":"repartition","session":"s","to":0}"#, r#"missing field "node""#),
+            (
+                r#"{"v":1,"type":"repartition","session":"s","node":"1","to":0}"#,
+                r#"field "node" must be an integer in u32 range"#,
+            ),
+            (
+                r#"{"v":1,"type":"import","records":[1]}"#,
+                r#"field "records" items must be a string"#,
+            ),
+            (
+                r#"{"v":1,"type":"explore","session":"s","heuristic":"Q"}"#,
+                r#"field "heuristic" must be one of ["E", "I"], not "Q""#,
+            ),
+            (
+                r#"{"v":1,"type":"apply_moves","session":"s","moves":[[1]]}"#,
+                r#"field "moves" items must be an [a, b] pair"#,
+            ),
+        ] {
+            assert_eq!(Request::decode(line).unwrap_err().message, message, "{line}");
+        }
+    }
+
+    #[test]
+    fn shard_entries_must_be_integers_like_every_other_count() {
+        let stats = |entries: &str| {
+            format!(
+                r#"{{"v":1,"type":"stats","sessions":[],"cache":{{"hits":0,"misses":0,"evictions":0,"entries":0,"bytes":0}}{entries}}}"#
+            )
+        };
+        let Response::Stats { shard_entries, .. } = Response::decode(&stats("")).unwrap()
+        else {
+            panic!()
+        };
+        assert!(shard_entries.is_empty(), "pre-sharding servers omit the field");
+        let err = Response::decode(&stats(r#","shard_entries":[2,1.5]"#)).unwrap_err();
+        assert_eq!(err.message, r#"field "shard_entries" items must be an integer"#);
     }
 
     #[test]
