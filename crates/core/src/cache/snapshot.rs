@@ -38,9 +38,9 @@
 //! are unaffected by warm-starting (the cache memoizes pure predictions).
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use chop_bad::area::PlaSpec;
 use chop_bad::prune::PredictionStats;
@@ -76,7 +76,7 @@ pub struct SnapshotLoaded {
 }
 
 /// Writes every resident cache entry to `path` atomically
-/// (tmp + fsync + rename + directory fsync).
+/// ([`durable_replace`]).
 ///
 /// # Errors
 ///
@@ -96,10 +96,27 @@ pub fn write_snapshot(path: &Path, cache: &PredictionCache) -> io::Result<Snapsh
         body.extend_from_slice(&payload);
     }
 
-    let tmp = path.with_extension("tmp");
+    durable_replace(path, &body)?;
+    Ok(SnapshotWritten { entries: export.len(), bytes: body.len() as u64 })
+}
+
+/// Durably replaces the file at `path` with `bytes`: writes them to
+/// `<file name>.tmp` beside it, fsyncs that, renames it over `path` and
+/// fsyncs the directory. Readers see the old file or the new one, never
+/// a mix. The snapshot writer and the session journal's compaction both
+/// replace their files this way.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, writing, syncing or renaming the
+/// temp file. On error the target file is left untouched.
+pub fn durable_replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     {
-        let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        file.write_all(&body)?;
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -111,7 +128,7 @@ pub fn write_snapshot(path: &Path, cache: &PredictionCache) -> io::Result<Snapsh
             let _ = d.sync_all();
         }
     }
-    Ok(SnapshotWritten { entries: export.len(), bytes: body.len() as u64 })
+    Ok(())
 }
 
 /// Loads a snapshot from `path` into `cache` (through the normal insert
@@ -165,8 +182,9 @@ pub fn load_snapshot(path: &Path, cache: &PredictionCache) -> io::Result<Snapsho
     Ok(out)
 }
 
-/// IEEE 802.3 CRC-32 (the polynomial the session journal uses), computed
-/// bitwise — snapshots are written rarely and read once at startup, so a
+/// IEEE 802.3 CRC-32, computed bitwise. Snapshot records and session
+/// journal records both use it; neither is a hot path (snapshots are
+/// written rarely, every journal record also pays an `fsync`), so a
 /// table is not worth the bytes.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -430,6 +448,31 @@ mod tests {
     fn crc_matches_known_vector() {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn durable_replace_uses_one_temp_file_per_target() {
+        let dir = std::env::temp_dir().join(format!(
+            "chop-replace-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Same stem, different names: each gets its own `<name>.tmp`.
+        let (snap, wal) = (dir.join("state.snap"), dir.join("state.wal"));
+        std::fs::write(dir.join("state.wal.tmp"), b"stale temp").unwrap();
+        durable_replace(&snap, b"one").unwrap();
+        durable_replace(&wal, b"two").unwrap();
+        durable_replace(&snap, b"three").unwrap();
+        assert_eq!(std::fs::read(&snap).unwrap(), b"three");
+        assert_eq!(std::fs::read(&wal).unwrap(), b"two");
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["state.snap", "state.wal"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 pub use crate::budget::{BudgetTimer, Completion, SearchBudget, DEFAULT_DEGRADE_THRESHOLD};
 pub use crate::cache::snapshot::{
-    load_snapshot, write_snapshot, SnapshotLoaded, SnapshotWritten,
+    durable_replace, load_snapshot, write_snapshot, SnapshotLoaded, SnapshotWritten,
 };
 pub use crate::cache::{
     recommended_shards, CacheStats, PredictionCache, DEFAULT_CACHE_CAPACITY,

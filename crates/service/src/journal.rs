@@ -55,6 +55,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use chop_core::cache::snapshot::{crc32, durable_replace};
+
 use crate::protocol::Request;
 
 #[cfg(feature = "fault-inject")]
@@ -104,21 +106,6 @@ impl std::fmt::Debug for Journal {
             .field("snapshot_every", &self.snapshot_every)
             .finish_non_exhaustive()
     }
-}
-
-/// CRC-32 (IEEE 802.3), bitwise — no table, the journal is not a hot
-/// path (every record also pays an `fsync`).
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Validates one journal line, returning its payload on success.
@@ -296,31 +283,19 @@ impl Journal {
     }
 
     /// Rewrites the journal as the given snapshot (the minimal replay
-    /// sequence for the live sessions): temp file, fsync, atomic rename,
-    /// directory fsync. On failure the old journal is left untouched.
+    /// sequence for the live sessions) through [`durable_replace`]: temp
+    /// file, fsync, atomic rename, directory fsync. On failure the old
+    /// journal is left untouched.
     ///
     /// # Errors
     ///
     /// The underlying write, sync or rename failure.
     pub fn compact(&mut self, snapshot: &[JournalEntry]) -> std::io::Result<()> {
-        let tmp_path = self.path.with_extension("chopwal.tmp");
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            for entry in snapshot {
-                let payload = entry.request.encode_tagged(entry.req_id.as_deref());
-                tmp.write_all(render_record(&payload).as_bytes())?;
-            }
-            tmp.flush()?;
-            tmp.sync_data()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            // Persist the rename itself. Directory fsync is a no-op (or
-            // an error to ignore) on some filesystems; best effort.
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        let records: String = snapshot
+            .iter()
+            .map(|entry| render_record(&entry.request.encode_tagged(entry.req_id.as_deref())))
+            .collect();
+        durable_replace(&self.path, records.as_bytes())?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.file.seek(SeekFrom::End(0))?;
         self.records = snapshot.len();
