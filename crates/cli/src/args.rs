@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use chop_core::prelude::Heuristic;
+
 /// Options shared by `check` and `tasks`.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -23,8 +25,8 @@ pub struct Options {
     pub multi_cycle: bool,
     /// Datapath clock multiplier over the 300 ns main clock.
     pub dp_mult: u32,
-    /// Heuristic: 'e' or 'i'.
-    pub heuristic: char,
+    /// Search heuristic (`--heuristic e|i`).
+    pub heuristic: Heuristic,
     /// Testability: none|partial|full.
     pub testability: String,
     /// On-chip memory placements: `(memory index, chip index)`.
@@ -71,7 +73,7 @@ impl Default for Options {
             power: None,
             multi_cycle: false,
             dp_mult: 10,
-            heuristic: 'i',
+            heuristic: Heuristic::Iterative,
             testability: "none".to_owned(),
             on_chip_memories: Vec::new(),
             extended_library: false,
@@ -101,6 +103,16 @@ impl fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
+
+/// Parses a `--heuristic` value: `e` (enumeration) or `i` (iterative),
+/// either case.
+pub fn parse_heuristic(v: &str) -> Result<Heuristic, ArgError> {
+    match v {
+        "e" | "E" => Ok(Heuristic::Enumeration),
+        "i" | "I" => Ok(Heuristic::Iterative),
+        _ => Err(ArgError("--heuristic must be e or i".into())),
+    }
+}
 
 /// Parses `check`/`tasks` options from argv (after the subcommand).
 pub fn parse_options(argv: &[String]) -> Result<Options, ArgError> {
@@ -161,14 +173,7 @@ pub fn parse_options(argv: &[String]) -> Result<Options, ArgError> {
                     .parse()
                     .map_err(|_| ArgError(format!("bad value for {arg}")))?;
             }
-            "--heuristic" => {
-                let v = value(arg)?;
-                match v.as_str() {
-                    "e" | "E" => opts.heuristic = 'e',
-                    "i" | "I" => opts.heuristic = 'i',
-                    _ => return Err(ArgError("--heuristic must be e or i".into())),
-                }
-            }
+            "--heuristic" => opts.heuristic = parse_heuristic(&value(arg)?)?,
             "--testability" => {
                 let v = value(arg)?;
                 if !["none", "partial", "full"].contains(&v.as_str()) {
@@ -758,7 +763,7 @@ mod tests {
         assert_eq!(o.performance, 20_000.0);
         assert!(o.multi_cycle);
         assert_eq!(o.dp_mult, 1);
-        assert_eq!(o.heuristic, 'e');
+        assert_eq!(o.heuristic, Heuristic::Enumeration);
         assert_eq!(o.power, Some(5000.0));
         assert_eq!(o.testability, "full");
         assert_eq!(o.on_chip_memories, vec![(0, 1)]);

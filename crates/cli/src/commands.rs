@@ -345,9 +345,7 @@ fn find_node(session: &Session, node: u32) -> Result<chop_dfg::NodeId, ArgError>
 /// partitioning and report the accepted trace and final verdict.
 fn optimize(opts: &Options, oopts: &OptimizeOptions) -> Result<RunStatus, Box<dyn Error>> {
     let session = build_session(opts)?;
-    let heuristic =
-        if opts.heuristic == 'e' { Heuristic::Enumeration } else { Heuristic::Iterative };
-    let mut spec = OptimizeSpec::new().with_seed(oopts.seed).with_heuristic(heuristic);
+    let mut spec = OptimizeSpec::new().with_seed(oopts.seed).with_heuristic(opts.heuristic);
     if let Some(ms) = opts.deadline_ms {
         spec = spec.with_deadline(Duration::from_millis(ms));
     }
@@ -416,16 +414,14 @@ fn optimize(opts: &Options, oopts: &OptimizeOptions) -> Result<RunStatus, Box<dy
 
 fn check(opts: &Options) -> Result<RunStatus, Box<dyn Error>> {
     let session = build_session(opts)?;
-    let heuristic =
-        if opts.heuristic == 'e' { Heuristic::Enumeration } else { Heuristic::Iterative };
     if opts.markdown {
-        let outcome = session.explore(heuristic)?;
+        let outcome = session.explore(opts.heuristic)?;
         print!("{}", report::markdown(&session, &outcome));
         write_stats_json(opts, &session, &[("baseline", &outcome)])?;
         return Ok(RunStatus::from_outcome(&outcome));
     }
     print!("{}", report::environment(&session));
-    let outcome = session.explore(heuristic)?;
+    let outcome = session.explore(opts.heuristic)?;
     report_outcome(opts, &outcome, &session);
     let moved_outcome;
     let mut runs: Vec<(&str, &SearchOutcome)> = vec![("baseline", &outcome)];
@@ -440,7 +436,7 @@ fn check(opts: &Options) -> Result<RunStatus, Box<dyn Error>> {
                 .ok_or_else(|| ArgError(format!("--move-node: no node with index {node}")))?;
             let moved = session.repartition(node_id, PartitionId::new(part))?;
             println!("\nWHAT-IF: node {node} moved to partition {part}, re-exploring");
-            moved_outcome = moved.explore(heuristic)?;
+            moved_outcome = moved.explore(opts.heuristic)?;
             report_outcome(opts, &moved_outcome, &moved);
             println!(
                 "incremental re-explore: {} predictor call(s), {} partition(s) from cache",

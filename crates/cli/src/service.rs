@@ -2,14 +2,14 @@
 
 use std::error::Error;
 
-use chop_core::prelude::{Heuristic, MoveKind};
+use chop_core::prelude::MoveKind;
 use chop_service::{
     BackendSpec, Client, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request,
     Response, RetryPolicy, Router, RouterConfig, RunSummary, ServeConfig, Server,
     DEFAULT_CONNECT_TIMEOUT,
 };
 
-use crate::args::{ArgError, RouterOptions, ServeOptions};
+use crate::args::{parse_heuristic, ArgError, RouterOptions, ServeOptions};
 use crate::commands::RunStatus;
 
 /// Runs the partitioning service until a client sends `shutdown` (or,
@@ -248,17 +248,7 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                     it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
                 };
                 match arg.as_str() {
-                    "--heuristic" => {
-                        params.heuristic = match value(arg)?.as_str() {
-                            "e" | "E" => Heuristic::Enumeration,
-                            "i" | "I" => Heuristic::Iterative,
-                            _ => {
-                                return Err(Box::new(ArgError(
-                                    "--heuristic must be e or i".into(),
-                                )))
-                            }
-                        };
-                    }
+                    "--heuristic" => params.heuristic = parse_heuristic(&value(arg)?)?,
                     "--deadline" => {
                         params.budget.deadline_ms = Some(parse_num(arg, &value(arg)?)?);
                     }
@@ -287,17 +277,7 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                 };
                 match arg.as_str() {
                     "--seed" => params.seed = parse_num(arg, &value(arg)?)?,
-                    "--heuristic" => {
-                        params.heuristic = match value(arg)?.as_str() {
-                            "e" | "E" => Heuristic::Enumeration,
-                            "i" | "I" => Heuristic::Iterative,
-                            _ => {
-                                return Err(Box::new(ArgError(
-                                    "--heuristic must be e or i".into(),
-                                )))
-                            }
-                        };
-                    }
+                    "--heuristic" => params.heuristic = parse_heuristic(&value(arg)?)?,
                     "--deadline" => {
                         params.budget.deadline_ms = Some(parse_num(arg, &value(arg)?)?);
                     }
@@ -605,6 +585,7 @@ fn run_status(run: &RunSummary) -> RunStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chop_core::prelude::Heuristic;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| (*x).to_owned()).collect()
