@@ -90,8 +90,8 @@ impl Constraints {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::InvalidConstraint`] naming the first offending
-    /// field.
+    /// Returns [`crate::spec::SpecError::InvalidConstraint`] naming the
+    /// first offending field.
     pub fn validate(&self) -> Result<(), crate::spec::SpecError> {
         use crate::spec::SpecError;
         if !(self.performance.value().is_finite() && self.performance.value() > 0.0) {

@@ -1,7 +1,7 @@
 //! The write-ahead journal that makes sessions crash-safe.
 //!
-//! Every state-mutating request the [`SessionManager`](crate::manager::
-//! SessionManager) applies (`open`, `repartition`, `set_constraints`,
+//! Every state-mutating request the
+//! [`SessionManager`](crate::manager::SessionManager) applies (`open`, `repartition`, `set_constraints`,
 //! `close`) is appended to one append-only file under `--state-dir`
 //! before the client is answered. The journal also records cluster
 //! **role transitions** as `role_change {epoch, role}` lines — written

@@ -3,15 +3,15 @@
 //!
 //! Three layers live here, bottom to top:
 //!
-//! * [`sys`] — raw `epoll`/`eventfd` FFI behind safe RAII wrappers (the
+//! * `sys` — raw `epoll`/`eventfd` FFI behind safe RAII wrappers (the
 //!   only `unsafe` in the crate).
-//! * Framing and drain helpers: [`LineBuffer`] (incremental newline
+//! * Framing and drain helpers: `LineBuffer` (incremental newline
 //!   framing with an `O(n)` resume scan) and [`MAX_LINE_BYTES`], used
 //!   only by the reactor; [`POLL_INTERVAL`], the reactor's idle tick;
 //!   and [`ShutdownGate`] (a Condvar-backed drain flag that *wakes*
 //!   sleepers instead of letting them sleep-step), the one drain flag of
 //!   the reactor, the server, the router and the client's retry loop.
-//! * [`reactor`] — the readiness-driven connection engine both
+//! * `reactor` — the readiness-driven connection engine both
 //!   `chop serve` and `chop router` run on.
 
 pub(crate) mod reactor;

@@ -2,7 +2,7 @@
 //!
 //! A node with a `chop serve --peer <addr>` attaches a [`Replicator`]: a
 //! background thread that receives every committed mutation from the
-//! [`SessionManager`](crate::manager::SessionManager) (as the exact
+//! [`SessionManager`] (as the exact
 //! tagged line the journal persisted, numbered by a monotonic stream
 //! sequence) and ships it to the peer over the ordinary wire protocol as
 //! [`Request::ReplApply`].
@@ -33,7 +33,6 @@
 //! mutations committed but not yet shipped when the primary dies are lost
 //! on failover — is documented in `DESIGN.md` §12.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,10 +40,11 @@ use std::time::Duration;
 
 use crate::client::{Client, ClientError, Jitter, DEFAULT_CONNECT_TIMEOUT};
 use crate::manager::SessionManager;
+use crate::net::ShutdownGate;
 use crate::protocol::{Request, Response, ServiceError};
 
-/// How long the stream thread sleeps between shutdown-flag polls when no
-/// events arrive (also the parked-standby poll cadence).
+/// How long the stream thread waits for an event before re-checking its
+/// role and stop gate (also the parked-standby poll cadence).
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Smallest reconnect backoff; each retry sleeps a decorrelated-jitter
 /// draw from `INITIAL_BACKOFF..=3×previous`, capped at [`MAX_BACKOFF`] —
@@ -82,7 +82,7 @@ pub enum ReplEvent {
 /// through standby outages. Dropping it stops the thread.
 pub struct Replicator {
     handle: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<ShutdownGate>,
 }
 
 impl Replicator {
@@ -96,21 +96,34 @@ impl Replicator {
     /// manager is a standby the stream parks instead of shipping.
     #[must_use]
     pub fn start(manager: Arc<SessionManager>, peer_addr: String) -> Self {
+        Self::start_with_backoff(
+            manager,
+            peer_addr,
+            Jitter::from_entropy(INITIAL_BACKOFF, MAX_BACKOFF),
+        )
+    }
+
+    fn start_with_backoff(
+        manager: Arc<SessionManager>,
+        peer_addr: String,
+        backoff: Jitter,
+    ) -> Self {
         let (sink, events) = mpsc::channel();
         manager.set_repl_sink(sink);
         manager.set_peer(Some(peer_addr));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(ShutdownGate::new());
         let stop_stream = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("chop-replicator".into())
-            .spawn(move || stream(&manager, &events, &stop_stream))
+            .spawn(move || stream(&manager, &events, &stop_stream, backoff))
             .expect("failed to spawn replication thread");
         Self { handle: Some(handle), stop }
     }
 
-    /// Stops the stream thread and waits for it to exit.
+    /// Stops the stream thread and waits for it to exit. A reconnect
+    /// backoff in progress is cut short, not slept out.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.trigger();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -129,11 +142,15 @@ impl Drop for Replicator {
 /// anything the peer already acked. While the manager is a standby the
 /// loop parks; a fenced refusal from the peer demotes the manager (and
 /// therefore parks the loop) on the spot.
-fn stream(manager: &SessionManager, events: &mpsc::Receiver<ReplEvent>, stop: &AtomicBool) {
+fn stream(
+    manager: &SessionManager,
+    events: &mpsc::Receiver<ReplEvent>,
+    stop: &ShutdownGate,
+    mut backoff: Jitter,
+) {
     // (connection, stream position shipped through)
     let mut conn: Option<(Client, u64)> = None;
-    let mut backoff = Jitter::from_entropy(INITIAL_BACKOFF, MAX_BACKOFF);
-    while !stop.load(Ordering::Acquire) {
+    while !stop.is_triggered() {
         if manager.is_standby() {
             // Parked: a standby ships nothing (and must not echo applied
             // records back at its primary). Promotion restarts from a
@@ -146,7 +163,7 @@ fn stream(manager: &SessionManager, events: &mpsc::Receiver<ReplEvent>, stop: &A
         }
         if conn.is_none() {
             let Some(peer) = manager.peer() else {
-                std::thread::sleep(POLL_INTERVAL);
+                stop.wait_for(POLL_INTERVAL);
                 continue;
             };
             match connect_and_sync(manager, &peer) {
@@ -163,7 +180,7 @@ fn stream(manager: &SessionManager, events: &mpsc::Receiver<ReplEvent>, stop: &A
                     // covered by the snapshot the next connect ships —
                     // drain it so the channel stays bounded by the outage.
                     while events.try_recv().is_ok() {}
-                    std::thread::sleep(backoff.next_sleep());
+                    stop.wait_for(backoff.next_sleep());
                     continue;
                 }
             }
@@ -328,11 +345,35 @@ mod tests {
 
     #[test]
     fn stop_is_idempotent_and_drop_stops() {
-        // No listener at this address: the replicator just backs off.
+        // A dead peer that hangs up on every connection, and a backoff
+        // pinned at `MAX_BACKOFF`: every redial follows a full 1 s sleep.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (notify, dials) = mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                drop(conn);
+                if notify.send(()).is_err() {
+                    return;
+                }
+            }
+        });
         let manager = Arc::new(SessionManager::new(1));
-        let mut replicator = Replicator::start(manager, "127.0.0.1:1".into());
+        let backoff = Jitter::from_entropy(MAX_BACKOFF, MAX_BACKOFF);
+        let mut replicator = Replicator::start_with_backoff(manager, addr.clone(), backoff);
+        for _ in 0..2 {
+            dials.recv_timeout(Duration::from_secs(10)).expect("the replicator redials");
+        }
+        // Backing off now; stop must interrupt the sleep, not wait it out.
+        let started = std::time::Instant::now();
         replicator.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "stop() took {took:?} during a backoff");
         replicator.stop();
         // Dropping after stop must not hang or panic.
+        drop(replicator);
+        drop(dials);
+        let _ = std::net::TcpStream::connect(&addr);
+        peer.join().expect("peer thread");
     }
 }

@@ -6,7 +6,7 @@
 //! plus its warm standby) with a [`HashRing`], forwards the request to
 //! the pair's active node, and relays the reply.
 //!
-//! It serves on the same epoll [`Reactor`] as `chop serve`: one thread
+//! It serves on the same epoll `Reactor` as `chop serve`: one thread
 //! owns every client connection's I/O, framing and drain. `shutdown` and
 //! `router_status` are answered inline. Everything else blocks on
 //! backends, so it parks its connection until a worker pushes the reply
@@ -18,7 +18,7 @@
 //! Several things make a dead node survivable:
 //!
 //! * **Failover** — when the active node stops answering (a forwarded
-//!   request fails, or the health loop misses [`HEALTH_STRIKES`]
+//!   request fails, or the health loop misses `HEALTH_STRIKES`
 //!   consecutive pings), the router promotes the pair's standby with
 //!   [`Request::Promote`] and re-points the pair at it.
 //! * **Re-arm** — failover is no longer terminal: the failed node's
