@@ -901,119 +901,51 @@ fn budget(v: &Value) -> Result<BudgetEnvelope, String> {
     }
 }
 
-impl Wire for RunSummary {
-    fn to_wire(&self) -> Value {
-        object([
-            put("heuristic", &self.heuristic),
-            put("digest", &self.digest),
-            put("trials", &self.trials),
-            put("feasible_trials", &self.feasible_trials),
-            put("feasible", &self.feasible),
-            put("completion", &self.completion),
-            put("degraded", &self.degraded),
-            put("elapsed_ms", &self.elapsed_ms),
-            put("predictor_calls", &self.predictor_calls),
-            put("cache_hits", &self.cache_hits),
-            put("cache_misses", &self.cache_misses),
-            put("subtrees_skipped", &self.subtrees_skipped),
-            put("combinations_skipped", &self.combinations_skipped),
-        ])
-    }
+/// `Wire` for a record struct: each listed field goes on the wire under
+/// its own name, in the listed order, and is required on decode.
+macro_rules! wire_record {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_wire(&self) -> Value {
+                object([$(put(stringify!($field), &self.$field)),*])
+            }
 
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            heuristic: req(v, "heuristic")?,
-            digest: req(v, "digest")?,
-            trials: req(v, "trials")?,
-            feasible_trials: req(v, "feasible_trials")?,
-            feasible: req(v, "feasible")?,
-            completion: req(v, "completion")?,
-            degraded: req(v, "degraded")?,
-            elapsed_ms: req(v, "elapsed_ms")?,
-            predictor_calls: req(v, "predictor_calls")?,
-            cache_hits: req(v, "cache_hits")?,
-            cache_misses: req(v, "cache_misses")?,
-            subtrees_skipped: req(v, "subtrees_skipped")?,
-            combinations_skipped: req(v, "combinations_skipped")?,
-        })
-    }
+            fn from_wire(v: &Value) -> Result<Self, String> {
+                Ok(Self { $($field: req(v, stringify!($field))?),* })
+            }
+        }
+    };
 }
 
-impl Wire for MoveSummary {
-    fn to_wire(&self) -> Value {
-        object([
-            put("nodes", &self.nodes),
-            put("from", &self.from),
-            put("to", &self.to),
-            put("pass", &self.pass),
-            put("kind", &self.kind),
-        ])
-    }
-
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            nodes: req(v, "nodes")?,
-            from: req(v, "from")?,
-            to: req(v, "to")?,
-            pass: req(v, "pass")?,
-            kind: req(v, "kind")?,
-        })
-    }
-}
-
-impl Wire for OptimizeSummary {
-    fn to_wire(&self) -> Value {
-        object([
-            put("digest", &self.digest),
-            put("feasible", &self.feasible),
-            put("initial_score", &self.initial_score),
-            put("final_score", &self.final_score),
-            put("evaluations", &self.evaluations),
-            put("passes", &self.passes),
-            put("kicks", &self.kicks),
-            put("completion", &self.completion),
-            put("moves", &self.moves),
-            put("run", &self.run),
-        ])
-    }
-
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            digest: req(v, "digest")?,
-            feasible: req(v, "feasible")?,
-            initial_score: req(v, "initial_score")?,
-            final_score: req(v, "final_score")?,
-            evaluations: req(v, "evaluations")?,
-            passes: req(v, "passes")?,
-            kicks: req(v, "kicks")?,
-            completion: req(v, "completion")?,
-            moves: req(v, "moves")?,
-            run: req(v, "run")?,
-        })
-    }
-}
-
-impl Wire for CacheStats {
-    fn to_wire(&self) -> Value {
-        object([
-            put("hits", &self.hits),
-            put("misses", &self.misses),
-            put("evictions", &self.evictions),
-            put("entries", &self.entries),
-            put("bytes", &self.bytes),
-        ])
-    }
-
-    fn from_wire(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            hits: req(v, "hits")?,
-            misses: req(v, "misses")?,
-            evictions: req(v, "evictions")?,
-            entries: req(v, "entries")?,
-            bytes: req(v, "bytes")?,
-        })
-    }
-}
+wire_record!(RunSummary {
+    heuristic,
+    digest,
+    trials,
+    feasible_trials,
+    feasible,
+    completion,
+    degraded,
+    elapsed_ms,
+    predictor_calls,
+    cache_hits,
+    cache_misses,
+    subtrees_skipped,
+    combinations_skipped,
+});
+wire_record!(MoveSummary { nodes, from, to, pass, kind });
+wire_record!(OptimizeSummary {
+    digest,
+    feasible,
+    initial_score,
+    final_score,
+    evaluations,
+    passes,
+    kicks,
+    completion,
+    moves,
+    run,
+});
+wire_record!(CacheStats { hits, misses, evictions, entries, bytes });
 
 impl Request {
     /// Whether this request mutates server-side session state (and is
