@@ -1,9 +1,9 @@
 //! Versioned, CRC'd binary snapshots of the prediction cache.
 //!
 //! A snapshot lets a restarted (or failed-over) `chop serve` process
-//! warm-start its [`PredictionCache`] instead of
-//! re-predicting every partition from scratch. The file format mirrors
-//! the discipline of the session journal:
+//! warm-start its [`PredictionCache`] instead of re-predicting every
+//! partition from scratch. The file format mirrors the discipline of the
+//! session journal:
 //!
 //! ```text
 //! CHOPCS1\n                                 ← 8-byte magic + version

@@ -1,14 +1,14 @@
 //! The write-ahead journal that makes sessions crash-safe.
 //!
 //! Every state-mutating request the
-//! [`SessionManager`](crate::manager::SessionManager) applies (`open`, `repartition`, `set_constraints`,
-//! `close`) is appended to one append-only file under `--state-dir`
-//! before the client is answered. The journal also records cluster
-//! **role transitions** as `role_change {epoch, role}` lines — written
-//! on every promotion and fencing demotion, and prepended to compaction
-//! snapshots — so a restarted node replays straight back into its last
-//! epoch and role instead of waking up as a split-brain primary. On
-//! startup
+//! [`SessionManager`](crate::manager::SessionManager) applies (`open`,
+//! `repartition`, `set_constraints`, `close`) is appended to one
+//! append-only file under `--state-dir` before the client is answered.
+//! The journal also records cluster **role transitions** as
+//! `role_change {epoch, role}` lines — written on every promotion and
+//! fencing demotion, and prepended to compaction snapshots — so a
+//! restarted node replays straight back into its last epoch and role
+//! instead of waking up as a split-brain primary. On startup
 //! [`SessionManager::recover`](crate::manager::SessionManager::recover)
 //! replays the journal through the exact same mutation paths, rebuilding
 //! every named session; the shared prediction cache re-warms naturally on

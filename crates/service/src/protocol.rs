@@ -1001,24 +1001,16 @@ impl Request {
     }
 
     /// Encodes this request with an optional `req_id` envelope field.
-    ///
-    /// # Panics
-    ///
-    /// Never — the encoder always produces an object envelope.
     #[must_use]
     pub fn encode_tagged(&self, req_id: Option<&str>) -> String {
-        let mut value = self.encode_value();
-        if let Some(id) = req_id {
-            let Value::Obj(pairs) = &mut value else {
-                unreachable!("request envelopes are always objects")
-            };
-            pairs.push(("req_id".to_owned(), Value::Str(id.to_owned())));
-        }
-        value.to_string()
+        let (kind, mut fields) = self.fields();
+        fields.push(req_id.map(|id| ("req_id", Value::Str(id.to_owned()))));
+        envelope(kind, fields).to_string()
     }
 
-    fn encode_value(&self) -> Value {
-        let (kind, fields) = match self {
+    /// The type tag and the body fields, in wire order.
+    fn fields(&self) -> (&'static str, Vec<Field>) {
+        match self {
             Request::Ping => ("ping", vec![]),
             Request::Open { session, params: p } => (
                 "open",
@@ -1103,8 +1095,7 @@ impl Request {
             Request::RouterStatus => ("router_status", vec![]),
             Request::Export { session } => ("export", vec![put("session", session)]),
             Request::Import { records } => ("import", vec![put("records", records)]),
-        };
-        envelope(kind, fields)
+        }
     }
 
     /// Decodes one request line.

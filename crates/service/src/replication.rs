@@ -2,10 +2,9 @@
 //!
 //! A node with a `chop serve --peer <addr>` attaches a [`Replicator`]: a
 //! background thread that receives every committed mutation from the
-//! [`SessionManager`] (as the exact
-//! tagged line the journal persisted, numbered by a monotonic stream
-//! sequence) and ships it to the peer over the ordinary wire protocol as
-//! [`Request::ReplApply`].
+//! [`SessionManager`] (as the exact tagged line the journal persisted,
+//! numbered by a monotonic stream sequence) and ships it to the peer
+//! over the ordinary wire protocol as [`Request::ReplApply`].
 //!
 //! The replicator is **role-aware**: while the manager is a standby the
 //! stream parks (draining and discarding queued events — promotion
