@@ -16,8 +16,11 @@
 //! | `figure8` | Fig. 8 — design space of experiment 2, one partition |
 //! | `experiments` | all of the above, in order |
 //!
-//! The Criterion benches cover the run-time claims (the CPU-time columns
-//! and the pruning speedup) and the substrate hot paths.
+//! Run time is measured by perfbench (`perfbench/`, declared in
+//! `BENCHMARK.json`), which times each layer of the stack; the §3.1
+//! pruning speedup is checked as an evaluation count by
+//! `tests/bnb_equivalence.rs`. The `serve_load` and `cache_tier` targets
+//! load the TCP service and the prediction cache tier.
 
 use std::time::Duration;
 

@@ -155,18 +155,6 @@ impl FeasibilityCriteria {
             power: FeasibilityThreshold::new(0.8),
         }
     }
-
-    /// Point-comparison criteria (every threshold 50 %) — used by the
-    /// probabilistic-analysis ablation.
-    #[must_use]
-    pub fn point_estimates() -> Self {
-        Self {
-            area: FeasibilityThreshold::new(0.5),
-            performance: FeasibilityThreshold::new(0.5),
-            delay: FeasibilityThreshold::new(0.5),
-            power: FeasibilityThreshold::new(0.5),
-        }
-    }
 }
 
 impl Default for FeasibilityCriteria {

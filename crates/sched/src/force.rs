@@ -6,8 +6,7 @@
 //! distribution graphs and therefore minimizing the functional units
 //! needed. CHOP's prediction sweep uses list scheduling (allocation →
 //! latency); this module provides the dual direction (latency →
-//! allocation), used by the ablation benches and available to downstream
-//! predictors.
+//! allocation), available to downstream predictors.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -57,8 +57,8 @@ use chop_stat::units::Nanos;
 
 use crate::journal::{Journal, JournalEntry};
 use crate::protocol::{
-    ErrorKind, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request, Response,
-    RunSummary, ServiceError, PROTOCOL_VERSION,
+    role_name, ErrorKind, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request,
+    Response, RunSummary, ServiceError, PROTOCOL_VERSION,
 };
 use crate::replication::ReplEvent;
 
@@ -126,11 +126,7 @@ impl Role {
     }
 
     fn name(&self) -> &'static str {
-        match self.standing {
-            Standing::Primary => "primary",
-            Standing::Standby { fenced: true, .. } => "fenced",
-            Standing::Standby { fenced: false, .. } => "standby",
-        }
+        role_name(!self.is_standby(), self.is_fenced())
     }
 
     /// The journal record a restart replays this role from.

@@ -729,6 +729,12 @@ impl Tagged for (bool, bool) {
         &[((true, false), "primary"), ((false, false), "standby"), ((false, true), "fenced")];
 }
 
+/// A node's role name (`"primary"`, `"standby"` or `"fenced"`), as the
+/// `role_change` table spells it; a primary is never fenced.
+pub(crate) fn role_name(primary: bool, fenced: bool) -> &'static str {
+    (primary, fenced).tag()
+}
+
 impl Wire for String {
     fn to_wire(&self) -> Value {
         Value::Str(self.clone())

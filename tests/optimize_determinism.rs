@@ -48,7 +48,7 @@ fn test_jobs() -> usize {
     std::env::var("CHOP_TEST_JOBS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 
-/// The acceptance criterion from the redesign: the optimizer digest is
+/// The acceptance check from the redesign: the optimizer digest is
 /// byte-identical at `--jobs 1/2/8` (and whatever CI pins via
 /// `CHOP_TEST_JOBS`) because every candidate evaluation goes through the
 /// jobs-invariant exploration engine.
@@ -66,6 +66,34 @@ fn digest_and_trace_are_byte_identical_across_jobs() {
             baseline.partitioning.grouping(),
             "final grouping diverged at jobs={jobs}"
         );
+    }
+}
+
+/// Work counters on experiment 1 (3 partitions, 84-pin packages, 256-move
+/// budget), where the horizontal split already sits at the objective's
+/// local optimum: gain passes alone converge in one pass, and the default
+/// spec's two annealing kicks triple the evaluations without a move.
+#[test]
+fn experiment1_optimizer_work_is_pinned() {
+    let session = experiments::experiment1_session(&experiments::Exp1Config {
+        partitions: 3,
+        package: 1,
+    })
+    .expect("experiment 1 builds");
+    // (spec, evaluations, passes, kicks)
+    let cases = [
+        (OptimizeSpec::new().with_kicks(0, 0).with_max_moves(256), 26, 1, 0),
+        (OptimizeSpec::new().with_max_moves(256), 82, 3, 2),
+    ];
+    for (spec, evaluations, passes, kicks) in cases {
+        let r = session.optimize(&spec).expect("optimize runs");
+        assert_eq!(
+            (r.evaluations, r.passes, r.kicks_used, r.moves.len()),
+            (evaluations, passes, kicks, 0),
+            "(evaluations, passes, kicks, moves) for {spec:?}"
+        );
+        assert_eq!(r.final_score, 31310.0);
+        assert_eq!(r.completion, Completion::Complete);
     }
 }
 
